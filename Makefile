@@ -41,14 +41,15 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# The determinism gate: the full experiment suite must render
-# byte-identically whether run on 1 worker or many — and, since the
-# evaluation tick can now be sharded, for every shard/eval-worker
-# combination — and the lossy control-plane message layer must replay
-# identically for a fixed seed. Run explicitly in CI (it is also part
-# of `make test`) so a violation is unmissable.
+# The determinism gate: the full experiment suite must render the
+# golden bytes for every shard count and worker count; the faulted
+# grids must match them across shards × workers × delta evaluation;
+# the incremental planner must match its full-scan oracle, forked
+# worlds their cold-built oracle; and the lossy control-plane message
+# layer must replay identically for a fixed seed. Run explicitly in CI
+# (it is also part of `make test`) so a violation is unmissable.
 determinism:
-	$(GO) test -run 'TestRunAllByteIdenticalAcrossWorkers|TestRunAllByteIdenticalAcrossShards|TestShardedFaultedExperimentsByteIdentical|TestPlaneDeterministicAcrossReruns|TestDeltaMatrixMatchesGolden|TestDeltaEvaluateBitIdentical|TestIncrementalMatrixMatchesGolden|TestHyperscaleIncrementalMatrixMatchesGolden|TestIncrementalPlanningParity|TestForkMatrixMatchesGolden|TestColdWorldMatchesGolden|TestForkMatchesColdStart|TestConcurrentForksMatchColdStart' -v \
+	$(GO) test -run 'TestRunAllByteIdenticalAcrossShards|TestShardedFaultedExperimentsByteIdentical|TestPlaneDeterministicAcrossReruns|TestDeltaEvaluateBitIdentical|TestIncrementalPlanningParity|TestForkMatrixMatchesGolden|TestForkMatchesColdStart|TestConcurrentForksMatchColdStart' -v \
 		./internal/experiments/ ./internal/ctrlplane/ ./internal/cluster/ ./internal/core/ .
 
 bench:
@@ -142,13 +143,13 @@ bench-manager:
 # The manager-cost gate without a measurement run: one iteration of the
 # hyperscale control-step benchmark (so the fixture cannot rot), the
 # steady-state 0-alloc assertion, and the incremental/full-scan parity
-# property tests. CI runs this as its manager-gate job; part of
-# `make ci`.
+# property tests, over paired core worlds and whole scenarios. CI runs
+# this as its manager-gate job; part of `make ci`.
 bench-manager-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkManagerControlStepHyperscale' -benchmem -benchtime=1x \
 		./internal/core/
-	$(GO) test -run 'TestManagerStepSteadyStateAllocFree|TestIncrementalPlanningParity|TestIncrementalModeMatchesFullScan' -v \
-		./internal/core/ .
+	$(GO) test -run 'TestManagerStepSteadyStateAllocFree|TestIncrementalPlanningParity' -v \
+		./internal/core/
 
 # Record the world-setup benchmarks (per-cell world construction and
 # end-to-end session creation, cold versus forked from a shared
@@ -173,14 +174,14 @@ bench-setup:
 
 # The setup-cost gate without a measurement run: one iteration of both
 # setup benchmarks (so the fixtures cannot rot), the fork-vs-cold
-# byte-identity matrix, the forked-tick 0-alloc assertion, the
-# screened-placement regression test, and the ColdWorld escape-hatch
-# golden check. CI runs this as its setup-gate job; part of `make ci`.
+# byte-identity matrix, the forked-tick 0-alloc assertion, and the
+# screened-placement regression test. CI runs this as its setup-gate
+# job; part of `make ci`.
 bench-setup-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkWorldBuildVsFork|BenchmarkWorldForkVsColdStart' \
 		-benchmem -benchtime=1x .
-	$(GO) test -run 'TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestForkedEvaluateSteadyStateAllocFree|TestPlaceInitialMatchesLegacyRetry|TestColdWorldMatchesGolden' -v \
-		. ./internal/cluster/ ./internal/experiments/
+	$(GO) test -run 'TestForkMatchesColdStart|TestForkGridMatchesColdStart|TestForkedEvaluateSteadyStateAllocFree|TestPlaceInitialMatchesLegacyRetry' -v \
+		. ./internal/cluster/
 
 # Allocation regression gate: the steady-state evaluation tick — serial
 # and sharded — the pooled event loop, and the manager's cached control

@@ -12,8 +12,7 @@ import (
 	"agilepower/internal/sim"
 )
 
-// assertSameResult compares two runs the way the incremental-mode test
-// does — every headline metric, every action count, and the event log
+// assertSameResult compares two runs field by field — every headline metric, every action count, and the event log
 // entry by entry — so a fork that drifts from a cold start by even one
 // event fails with the exact divergence point.
 func assertSameResult(t *testing.T, a, b *Result) {
@@ -112,7 +111,7 @@ func forkCases() []struct {
 		}()},
 		{"sharded delta churn", Scenario{
 			Hosts: 8, VMs: MixedFleet(32, 7), Horizon: 8 * time.Hour, Seed: 7,
-			Shards: 2, EvalWorkers: 2, Delta: true, TelemetryCap: 64,
+			Shards: 2, Delta: true, TelemetryCap: 64,
 			Manager: ManagerConfig{Policy: DPMS5},
 			Churn:   &ChurnSpec{ArrivalsPerHour: 2, MeanLifetime: 3 * time.Hour},
 		}},

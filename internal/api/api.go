@@ -13,6 +13,7 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -127,17 +128,15 @@ type RunRequest struct {
 	// Churn optionally adds dynamic arrivals.
 	Churn *ChurnRequest `json:"churn,omitempty"`
 
-	// Shards, EvalWorkers, Delta, and TelemetryCap are the simulator's
+	// Shards, Delta, and TelemetryCap are the simulator's
 	// wall-clock/memory knobs (see agilepower.Scenario): sharded
-	// evaluation, the shard worker-pool bound, event-driven delta
-	// evaluation, and the telemetry sample cap. All four are invisible
-	// in results — byte-identical for every setting — so they are safe
-	// to expose per-request without fragmenting the result cache's
-	// effective hit rate across equivalent runs... except that they are
-	// part of the request hash (conservative: different knobs, different
-	// key).
+	// evaluation, event-driven delta evaluation, and the telemetry
+	// sample cap. Shards and Delta are invisible in results —
+	// byte-identical for every setting — yet all three are part of the
+	// request hash (conservative: different knobs, different key). The
+	// retired evalWorkers field is no longer read; requests that still
+	// send it decode as if it were absent.
 	Shards       int  `json:"shards,omitempty"`
-	EvalWorkers  int  `json:"evalWorkers,omitempty"`
 	Delta        bool `json:"delta,omitempty"`
 	TelemetryCap int  `json:"telemetryCap,omitempty"`
 
@@ -195,8 +194,9 @@ type Server struct {
 	// protos caches built worlds keyed by world fingerprint, so
 	// repeated fleet shapes fork a shared Prototype instead of
 	// rebuilding hosts and placement per job.
-	protoMu sync.Mutex
-	protos  map[string]*protoEntry
+	protoMu   sync.Mutex
+	protos    map[string]*protoEntry
+	protoUses uint64 // protoFor lookups, the LRU clock
 }
 
 type storedRun struct {
@@ -284,6 +284,37 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps every request body the service decodes.
+const maxBodyBytes = 4 << 20
+
+// bodyDecoder returns a JSON decoder over r's body, capped at
+// maxBodyBytes: every route that reads a body goes through it.
+func bodyDecoder(w http.ResponseWriter, r *http.Request) *json.Decoder {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+}
+
+// writeDecodeError answers a failed body decode: 413 when the body
+// went over maxBodyBytes, 400 for anything else.
+func writeDecodeError(w http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "%s: body exceeds %d bytes", what, tooBig.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "%s: %v", what, err)
+}
+
+// decodeBody decodes r's capped body into v, leniently: unknown
+// fields are ignored, so clients that still send retired fields keep
+// working. On failure it has already written the error response.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := bodyDecoder(w, r).Decode(v); err != nil {
+		writeDecodeError(w, "decoding request", err)
+		return false
+	}
+	return true
+}
+
 func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	type policyInfo struct {
 		Name        string `json:"name"`
@@ -345,8 +376,8 @@ func (s *Server) buildScenario(req RunRequest) (agilepower.Scenario, error) {
 	if req.VMs <= 0 || req.VMs > s.cfg.MaxVMs {
 		return agilepower.Scenario{}, fmt.Errorf("vms must be in [1, %d]", s.cfg.MaxVMs)
 	}
-	if req.Shards < 0 || req.EvalWorkers < 0 || req.TelemetryCap < 0 {
-		return agilepower.Scenario{}, fmt.Errorf("shards, evalWorkers, and telemetryCap must be non-negative")
+	if req.Shards < 0 || req.TelemetryCap < 0 {
+		return agilepower.Scenario{}, fmt.Errorf("shards and telemetryCap must be non-negative")
 	}
 	seed := req.Seed
 	if seed == 0 {
@@ -410,7 +441,6 @@ func (s *Server) buildScenario(req RunRequest) (agilepower.Scenario, error) {
 		Horizon:      horizon,
 		Seed:         seed,
 		Shards:       req.Shards,
-		EvalWorkers:  req.EvalWorkers,
 		Delta:        req.Delta,
 		TelemetryCap: req.TelemetryCap,
 		Manager: agilepower.ManagerConfig{
@@ -433,8 +463,7 @@ func (s *Server) buildScenario(req RunRequest) (agilepower.Scenario, error) {
 
 func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	sc, err := s.buildScenario(req)

@@ -7,7 +7,6 @@
 package api
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -89,11 +88,15 @@ type runPayload struct {
 // identity, not just equal specs) plus the built prototype. The
 // sync.Once makes the first job for a shape pay construction while
 // concurrent jobs for the same shape wait instead of duplicating it.
+// lastUse is the pool's use counter at the entry's latest lookup
+// (guarded by Server.protoMu), the key for least-recently-used
+// eviction.
 type protoEntry struct {
-	once  sync.Once
-	sc    agilepower.Scenario
-	proto *agilepower.Prototype
-	err   error
+	once    sync.Once
+	sc      agilepower.Scenario
+	proto   *agilepower.Prototype
+	err     error
+	lastUse uint64
 }
 
 // protoCacheMax bounds distinct cached world shapes; each entry holds
@@ -211,44 +214,56 @@ func worldFingerprint(req RunRequest) (string, error) {
 }
 
 // protoFor returns the cached world entry for a fingerprint, creating
-// it if needed (bounded: a full cache drops an arbitrary entry — the
-// map holds entire fleets and must not grow with every novel shape).
+// it if needed. The pool is bounded — it holds entire fleets and must
+// not grow with every novel shape — so a full pool evicts its least
+// recently used entry, and a hot shape keeps its world however many
+// one-off shapes pass through.
 func (s *Server) protoFor(worldKey string) *protoEntry {
 	s.protoMu.Lock()
 	defer s.protoMu.Unlock()
+	s.protoUses++
 	if e, ok := s.protos[worldKey]; ok {
+		e.lastUse = s.protoUses
 		return e
 	}
 	if len(s.protos) >= protoCacheMax {
-		for k := range s.protos {
-			delete(s.protos, k)
-			break
+		// Use counts are unique, so the minimum is one entry whatever
+		// order the map iterates in.
+		oldest, oldestUse := "", s.protoUses
+		for k, e := range s.protos {
+			if e.lastUse < oldestUse {
+				oldest, oldestUse = k, e.lastUse
+			}
 		}
+		delete(s.protos, oldest)
 	}
-	e := &protoEntry{}
+	e := &protoEntry{lastUse: s.protoUses}
 	s.protos[worldKey] = e
 	return e
 }
 
 // startSession builds the job's session: a fork of the shared world
-// prototype when the payload carries a world fingerprint, a cold
-// start otherwise. Forked and cold runs are byte-identical (the
-// determinism gate pins it); forking just skips host construction and
-// initial placement for repeated fleet shapes.
+// prototype when the payload carries a world fingerprint, a Start of
+// its own world otherwise (scenario files). Forked and started runs
+// are byte-identical (the determinism gate pins it); forking just
+// skips host construction and initial placement for repeated fleet
+// shapes.
 func (s *Server) startSession(p *runPayload) (*agilepower.Session, error) {
 	if p.worldKey == "" {
 		return p.sc.Start()
 	}
 	e := s.protoFor(p.worldKey)
 	e.once.Do(func() {
-		e.sc = p.sc
-		e.proto, e.err = p.sc.Prototype()
+		// The pooled world is built from the world fields alone: the
+		// cell knobs of whichever job arrives first (churn here) must
+		// not decide whether the world builds for every later job.
+		base := p.sc
+		base.Churn = nil
+		e.sc = base
+		e.proto, e.err = base.Prototype()
 	})
 	if e.err != nil {
-		// Prototype construction failed; the cold path re-surfaces the
-		// same error (or succeeds where construction has since been
-		// fixed — it cannot be, but cold is the conservative fallback).
-		return p.sc.Start()
+		return nil, e.err
 	}
 	// Overlay the cell knobs on the entry's base scenario so the world
 	// fields keep pointer identity with the prototype (Fork requires
@@ -445,8 +460,7 @@ func (s *Server) submitCommon(w http.ResponseWriter, r *http.Request, tenant, ke
 // run submission, with ?wait=1 to block for the terminal result.
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	sc, err := s.buildScenario(req)
@@ -474,19 +488,14 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 // field). Scenario-file jobs always run cold — their worlds vary too
 // much to pool — but their results are cached like any other.
 func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
 	// Decode the file form first (strictly, mirroring ParseScenario) so
 	// the canonical bytes and admission counts come from the decoded
 	// struct, not the client's formatting.
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := bodyDecoder(w, r)
 	dec.DisallowUnknownFields()
 	var f agilepower.ScenarioFile
 	if err := dec.Decode(&f); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding scenario file: %v", err)
+		writeDecodeError(w, "decoding scenario file", err)
 		return
 	}
 	if hosts := f.TotalHosts(); hosts <= 0 || hosts > s.cfg.MaxHosts {

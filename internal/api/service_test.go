@@ -502,7 +502,7 @@ func TestShardsDeltaKnobsByteIdentical(t *testing.T) {
 		t.Fatalf("plain status %d", st)
 	}
 	for _, knobs := range []string{
-		`,"shards":4,"evalWorkers":2`,
+		`,"shards":4`,
 		`,"delta":true`,
 		`,"shards":2,"delta":true,"telemetryCap":64`,
 	} {
@@ -524,5 +524,14 @@ func TestShardsDeltaKnobsByteIdentical(t *testing.T) {
 		if !bytes.Equal(plain, got) {
 			t.Fatalf("%s: result bytes differ from serial run:\nserial %s\nknobs  %s", knobs, plain, got)
 		}
+	}
+	// The retired evalWorkers field still decodes and is ignored: the
+	// request keys like its shards-only twin above and hits its entry.
+	st, xc, got := postWait(t, ts.URL, fmt.Sprintf(base, `,"shards":4,"evalWorkers":2`))
+	if st != http.StatusOK || xc != "hit" {
+		t.Fatalf("retired evalWorkers: status %d, X-Cache %q, want 200 hit", st, xc)
+	}
+	if !bytes.Equal(plain, got) {
+		t.Fatalf("retired evalWorkers: result bytes differ from serial run:\nserial %s\ngot    %s", plain, got)
 	}
 }

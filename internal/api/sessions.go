@@ -1,7 +1,6 @@
 package api
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
 	"sync"
@@ -74,8 +73,7 @@ func (ls *liveSession) status() SessionStatus {
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	sc, err := s.buildScenario(req)
@@ -137,8 +135,7 @@ func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
 		ToHours float64 `json:"toHours"`
 		ByHours float64 `json:"byHours"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	var err error
@@ -178,8 +175,7 @@ func (s *Server) handleSessionMaintenance(w http.ResponseWriter, r *http.Request
 		Host int  `json:"host"`
 		Exit bool `json:"exit"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	var err error
@@ -210,8 +206,7 @@ func (s *Server) handleSessionAddVM(w http.ResponseWriter, r *http.Request) {
 		MemoryGB    float64 `json:"memoryGB"`
 		DemandCores float64 `json:"demandCores"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.VCPUs <= 0 {

@@ -33,14 +33,14 @@ func sameClusterResults(t *testing.T, ref, got *Cluster) {
 // TestDeltaEvaluateBitIdentical is the determinism core of delta
 // evaluation: the eventful half-day scenario (migration, crash,
 // arrival, departure) must produce bit-identical telemetry, SLA,
-// energy and stranded accounting with delta on, for every shard and
-// worker count, compared to the serial full-scan reference.
+// energy and stranded accounting with delta on, for every shard count
+// and GOMAXPROCS {1, 3}, compared to the serial full-scan reference.
 func TestDeltaEvaluateBitIdentical(t *testing.T) {
 	ref := runEvalScenario(t, 0, 0, false)
 	for _, shards := range []int{0, 1, 2, 4} {
-		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("delta/shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				got := runEvalScenario(t, shards, workers, true)
+		for _, procs := range []int{1, 3} {
+			t.Run(fmt.Sprintf("delta/shards=%d/procs=%d", shards, procs), func(t *testing.T) {
+				got := runEvalScenario(t, shards, procs, true)
 				sameClusterResults(t, ref, got)
 			})
 		}
@@ -125,7 +125,7 @@ func TestDeltaSkipsQuiescentHosts(t *testing.T) {
 func TestFlushAfterCloseDeltaKeepsTailAccounting(t *testing.T) {
 	run := func(delta bool, closeFirst bool) *Cluster {
 		eng := sim.NewEngine(1)
-		c := buildQuiescentCluster(t, eng, Config{Horizon: 6 * time.Hour, Shards: 2, EvalWorkers: 2, Delta: delta}, 16, 96)
+		c := buildQuiescentCluster(t, eng, Config{Horizon: 6 * time.Hour, Shards: 2, Delta: delta}, 16, 96)
 		c.Start()
 		// Stop between ticks so open accounting runs and analytic energy
 		// segments are live when the books close.
@@ -153,7 +153,7 @@ func TestFlushAfterCloseDeltaKeepsTailAccounting(t *testing.T) {
 func TestDeltaSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := buildQuiescentCluster(t, eng,
-		Config{Horizon: 30 * 24 * time.Hour, Shards: 4, EvalWorkers: 2, Delta: true}, 16, 96)
+		Config{Horizon: 30 * 24 * time.Hour, Shards: 4, Delta: true}, 16, 96)
 	c.startEval()
 	now := eng.Now()
 	c.evaluate()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,19 +15,24 @@ import (
 
 // runShardScenario simulates an eventful half-day — migrations, a host
 // crash with stranded VMs, dynamic arrival/placement, a departure —
-// on a cluster configured with the given shard/worker counts, and
-// returns the cluster for result comparison.
-func runShardScenario(t testing.TB, shards, workers int) *Cluster {
+// on a cluster with the given shard count, and returns the cluster for
+// result comparison. procs > 0 sets GOMAXPROCS for the run, which
+// sizes the shard worker pool at min(shards, procs): procs below the
+// shard count makes workers serve several shards each.
+func runShardScenario(t testing.TB, shards, procs int) *Cluster {
 	t.Helper()
-	return runEvalScenario(t, shards, workers, false)
+	return runEvalScenario(t, shards, procs, false)
 }
 
 // runEvalScenario is runShardScenario with the evaluation mode
 // explicit, so the delta tests share the exact same event sequence.
-func runEvalScenario(t testing.TB, shards, workers int, delta bool) *Cluster {
+func runEvalScenario(t testing.TB, shards, procs int, delta bool) *Cluster {
 	t.Helper()
+	if procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	}
 	eng := sim.NewEngine(1)
-	c, err := New(eng, Config{Horizon: 12 * time.Hour, Shards: shards, EvalWorkers: workers, Delta: delta})
+	c, err := New(eng, Config{Horizon: 12 * time.Hour, Shards: shards, Delta: delta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +91,15 @@ func sameSeries(t *testing.T, label string, a, b *telemetry.Series) {
 // TestShardedEvaluateBitIdentical is the determinism core of the
 // sharded tick: every telemetry series, the aggregate SLA, energy, and
 // stranded-time accounting must be bit-for-bit identical across shard
-// counts {1, 2, 4} × worker counts {1, 3}, and identical to the
-// serial (shards = 0) path.
+// counts {1, 2, 4} × GOMAXPROCS {1, 3} (and so worker counts
+// min(shards, GOMAXPROCS)), and identical to the serial (shards = 0)
+// path.
 func TestShardedEvaluateBitIdentical(t *testing.T) {
 	ref := runShardScenario(t, 0, 0)
 	for _, shards := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				got := runShardScenario(t, shards, workers)
+		for _, procs := range []int{1, 3} {
+			t.Run(fmt.Sprintf("shards=%d/procs=%d", shards, procs), func(t *testing.T) {
+				got := runShardScenario(t, shards, procs)
 				sameSeries(t, "power", ref.PowerSeries(), got.PowerSeries())
 				sameSeries(t, "demand", ref.DemandSeries(), got.DemandSeries())
 				sameSeries(t, "delivered", ref.DeliveredSeries(), got.DeliveredSeries())
@@ -116,7 +123,7 @@ func TestShardedEvaluateBitIdentical(t *testing.T) {
 // matches the serial results.
 func TestShardsClampedToHostCount(t *testing.T) {
 	ref := runShardScenario(t, 0, 0)
-	got := runShardScenario(t, 64, 64)
+	got := runShardScenario(t, 64, 16)
 	sameSeries(t, "power", ref.PowerSeries(), got.PowerSeries())
 	if n := len(got.shardBounds); n != 8 {
 		t.Fatalf("shard count = %d, want clamped to 8 hosts", n)
@@ -163,7 +170,7 @@ func TestEvaluateAfterCloseFallsBackSerial(t *testing.T) {
 // every partial lands in a preallocated per-host slot.
 func TestShardedEvaluateSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine(1)
-	c, err := New(eng, Config{Horizon: 30 * 24 * time.Hour, Shards: 4, EvalWorkers: 2})
+	c, err := New(eng, Config{Horizon: 30 * 24 * time.Hour, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func BenchmarkPeakWindowForecast(b *testing.B) {
 // packing capacity so MinBins proves consolidation infeasible without
 // packing — which is exactly the regime where incremental planning
 // must win: churn is near zero while the fleet is enormous.
-func hyperscaleManagerFixture(b *testing.B, mode IncrementalMode) (*sim.Engine, *Manager) {
+func hyperscaleManagerFixture(b *testing.B, fullScan bool) (*sim.Engine, *Manager) {
 	b.Helper()
 	eng := sim.NewEngine(1)
 	cl, err := cluster.New(eng, cluster.Config{})
@@ -174,7 +174,7 @@ func hyperscaleManagerFixture(b *testing.B, mode IncrementalMode) (*sim.Engine, 
 			b.Fatal(err)
 		}
 	}
-	m, err := NewManager(cl, Config{Policy: DPMS3, Incremental: mode})
+	m, err := NewManager(cl, Config{Policy: DPMS3, fullScan: fullScan})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -190,14 +190,14 @@ func hyperscaleManagerFixture(b *testing.B, mode IncrementalMode) (*sim.Engine, 
 // free — CI gates on both (see make bench-manager-smoke).
 func BenchmarkManagerControlStepHyperscale(b *testing.B) {
 	for _, mode := range []struct {
-		name string
-		inc  IncrementalMode
+		name     string
+		fullScan bool
 	}{
-		{"eager", IncrementalOff},
-		{"incremental", IncrementalOn},
+		{"eager", true},
+		{"incremental", false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			_, m := hyperscaleManagerFixture(b, mode.inc)
+			_, m := hyperscaleManagerFixture(b, mode.fullScan)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

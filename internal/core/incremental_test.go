@@ -62,8 +62,9 @@ type parityWorld struct {
 }
 
 // buildParityWorld constructs one world: identical fleet, workloads,
-// faults, and script on both sides; only the planning mode differs.
-func buildParityWorld(t *testing.T, mode IncrementalMode, traces []*workload.Trace,
+// faults, and script on both sides; only the planner differs (fullScan
+// selects the eager oracle).
+func buildParityWorld(t *testing.T, fullScan bool, traces []*workload.Trace,
 	script []parityEvent, withPlane bool) *parityWorld {
 	t.Helper()
 	const nHosts, nVMs = 16, 64
@@ -91,10 +92,13 @@ func buildParityWorld(t *testing.T, mode IncrementalMode, traces []*workload.Tra
 		Policy:               DPMS3,
 		Period:               5 * time.Minute,
 		MaxTransitionRetries: 1,
-		Incremental:          mode,
+		fullScan:             fullScan,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m.inc == fullScan {
+		t.Fatalf("manager built with fullScan=%v runs inc=%v: the oracle switch is not honoured", fullScan, m.inc)
 	}
 	var cp *ctrlplane.Plane
 	if withPlane {
@@ -209,8 +213,8 @@ func TestIncrementalPlanningParity(t *testing.T) {
 				}
 			}
 			script := parityScript(seed, 16, 64, sim.Time(horizon))
-			a := buildParityWorld(t, IncrementalOn, traces, script, false)
-			b := buildParityWorld(t, IncrementalOff, traces, script, false)
+			a := buildParityWorld(t, false, traces, script, false)
+			b := buildParityWorld(t, true, traces, script, false)
 			for hour := 1; hour <= 8; hour++ {
 				to := sim.Time(hour) * sim.Time(time.Hour)
 				a.eng.RunUntil(to)
@@ -242,8 +246,8 @@ func TestIncrementalPlanningParityCtrlPlane(t *testing.T) {
 				}
 			}
 			script := parityScript(seed+10, 16, 64, sim.Time(horizon))
-			a := buildParityWorld(t, IncrementalOn, traces, script, true)
-			b := buildParityWorld(t, IncrementalOff, traces, script, true)
+			a := buildParityWorld(t, false, traces, script, true)
+			b := buildParityWorld(t, true, traces, script, true)
 			for hour := 1; hour <= 8; hour++ {
 				to := sim.Time(hour) * sim.Time(time.Hour)
 				a.eng.RunUntil(to)
@@ -282,7 +286,7 @@ func TestManagerStepSteadyStateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := NewManager(cl, Config{Policy: DPMS3, Incremental: IncrementalOn})
+	m, err := NewManager(cl, Config{Policy: DPMS3})
 	if err != nil {
 		t.Fatal(err)
 	}

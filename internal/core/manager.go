@@ -187,7 +187,7 @@ func NewManager(cl *cluster.Cluster, cfg Config) (*Manager, error) {
 	if cfg.PredictiveWake {
 		m.diurnal = newDiurnalModel(0.4)
 	}
-	m.inc = cfg.Incremental > 0
+	m.inc = !cfg.fullScan
 	// Lazy forecast maintenance needs the forecast to be a pure
 	// function of deadline-computable moments: peak-window and
 	// last-value qualify; EWMA evolves on every observation and the

@@ -64,18 +64,19 @@ func CtrlPlane(w io.Writer, opts Options) error {
 		sc0.Hosts, len(sc0.VMs), hours(sc0.Horizon), len(mixes))
 
 	// Every cell shares sc0's fleet and world parameters, so the world
-	// is built once and forked per cell (cold fallback on error).
-	var proto *agilepower.Prototype
-	if !sc0.ColdWorld {
-		if p, err := sc0.Prototype(); err == nil {
-			proto = p
-		}
+	// is built once and forked per cell.
+	cellName := func(c cell) string {
+		return fmt.Sprintf("ctrl-%s-d%s-l%03.0f", c.pol.Name, c.mix.delay, c.mix.loss*1000)
+	}
+	proto, err := sc0.Prototype()
+	if err != nil {
+		return fmt.Errorf("%s: %w", cellName(cells[0]), err)
 	}
 	rows, err := parallel.Map(context.Background(), len(cells), opts.workers(),
 		func(_ context.Context, i int) ([]any, error) {
 			c := cells[i]
 			sc := sc0
-			sc.Name = fmt.Sprintf("ctrl-%s-d%s-l%03.0f", c.pol.Name, c.mix.delay, c.mix.loss*1000)
+			sc.Name = cellName(c)
 			sc.Manager.Policy = c.pol
 			// Each cell IS a control-plane setting: the cell's mix
 			// replaces whatever dayScenario inherited from the Options.
@@ -85,7 +86,7 @@ func CtrlPlane(w io.Writer, opts Options) error {
 			} else {
 				sc.CtrlPlane = nil
 			}
-			res, err := runCell(proto, sc)
+			res, err := proto.Run(sc)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", sc.Name, err)
 			}

@@ -5,64 +5,43 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"testing"
 )
 
-// goldenQuickSection extracts one experiment's report body (including
-// its "=== experiment id ===" header) from testdata/golden_quick.txt.
+// goldenQuickSection extracts one experiment's report body from
+// testdata/golden_quick.txt.
 func goldenQuickSection(t *testing.T, id string) []byte {
 	t.Helper()
 	data, err := os.ReadFile("testdata/golden_quick.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	marker := fmt.Sprintf("\n=== experiment %s ===\n", id)
-	start := strings.Index(string(data), marker)
-	if start < 0 {
+	body, ok := reportSection(data, id)
+	if !ok {
 		t.Fatalf("experiment %s not found in golden_quick.txt", id)
-	}
-	body := data[start+len(marker):]
-	if end := bytes.Index(body, []byte("\n=== experiment ")); end >= 0 {
-		body = body[:end]
 	}
 	return body
 }
 
-// TestDeltaMatrixMatchesGolden replays the robust and ctrl experiments
-// — the two that exercise fault injection, crash/repair churn and the
-// imperfect control plane on top of the evaluation tick — across the
-// full execution matrix: shards {1, 2, 4} × workers {1, 4} × delta
-// {on, off}, comparing each report byte-for-byte against the golden.
-// Evaluation mode, shard count and worker count are wall-clock knobs;
-// none of them may move a single byte. Under -race this doubles as
-// the concurrency workout for the delta queues and due-heaps.
-func TestDeltaMatrixMatchesGolden(t *testing.T) {
-	for _, id := range []string{"robust", "ctrl"} {
-		want := goldenQuickSection(t, id)
-		for _, shards := range []int{1, 2, 4} {
-			for _, workers := range []int{1, 4} {
-				for _, delta := range []DeltaMode{DeltaOn, DeltaOff} {
-					name := fmt.Sprintf("%s/shards=%d/workers=%d/delta=%d", id, shards, workers, delta)
-					t.Run(name, func(t *testing.T) {
-						var got bytes.Buffer
-						opts := Options{
-							Quick: true, Shards: shards, EvalWorkers: workers, Delta: delta,
-						}
-						if err := Run(id, &got, opts); err != nil {
-							t.Fatal(err)
-						}
-						diffAt(t, name, got.Bytes(), want)
-					})
-				}
-			}
-		}
+// reportSection extracts the body of one experiment's section — the
+// bytes after its "=== experiment id ===" header, up to the next
+// header — from a RunAll report.
+func reportSection(report []byte, id string) ([]byte, bool) {
+	marker := fmt.Sprintf("\n=== experiment %s ===\n", id)
+	start := bytes.Index(report, []byte(marker))
+	if start < 0 {
+		return nil, false
 	}
+	body := report[start+len(marker):]
+	if end := bytes.Index(body, []byte("\n=== experiment ")); end >= 0 {
+		body = body[:end]
+	}
+	return body, true
 }
 
 // TestHyperscaleFullScanMatchesGolden forces the hyperscale experiment
 // — whose default is delta evaluation — through the full per-host
-// scan on a sharded, multi-worker configuration and compares against
+// scan on a sharded configuration and compares against
 // the golden bytes (which were recorded with delta on). This is the
 // headline identity: the delta tick, the analytic integration of
 // quiescent hosts, and the bounded telemetry produce exactly the
@@ -73,7 +52,7 @@ func TestHyperscaleFullScanMatchesGolden(t *testing.T) {
 	}
 	want := goldenQuickSection(t, "hyper")
 	var got bytes.Buffer
-	if err := Run("hyper", &got, Options{Quick: true, Shards: 2, EvalWorkers: 4, Delta: DeltaOff}); err != nil {
+	if err := Run("hyper", &got, Options{Quick: true, Shards: 2, Delta: DeltaOff}); err != nil {
 		t.Fatal(err)
 	}
 	diffAt(t, "hyper full-scan", got.Bytes(), want)

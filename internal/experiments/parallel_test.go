@@ -5,49 +5,6 @@ import (
 	"testing"
 )
 
-// RunAll fans out twice — across experiments, and inside each
-// experiment across policies/loads/seeds — yet the report is stitched
-// from per-index buffers, so the bytes on the wire must not depend on
-// the worker count. This is the acceptance test for the parallel
-// runner: a fully sequential pass (Workers=1 disables concurrency at
-// every level) against a 4-worker pass, compared byte for byte.
-func TestRunAllByteIdenticalAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two quick-mode full sweeps; skipped with -short")
-	}
-	var seq, par bytes.Buffer
-	if err := RunAll(&seq, Options{Quick: true, Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunAll(&par, Options{Quick: true, Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		a, b := seq.Bytes(), par.Bytes()
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		i := 0
-		for i < n && a[i] == b[i] {
-			i++
-		}
-		lo := i - 80
-		if lo < 0 {
-			lo = 0
-		}
-		hiA, hiB := i+80, i+80
-		if hiA > len(a) {
-			hiA = len(a)
-		}
-		if hiB > len(b) {
-			hiB = len(b)
-		}
-		t.Fatalf("output differs at byte %d (seq %d bytes, par %d bytes)\nseq: %q\npar: %q",
-			i, len(a), len(b), a[lo:hiA], b[lo:hiB])
-	}
-}
-
 // Progress lines go to a separate writer and must not leak into the
 // report, and the summary line must report the pinned worker count.
 func TestRunAllProgressSeparateFromReport(t *testing.T) {

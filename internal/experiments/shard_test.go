@@ -12,7 +12,11 @@ import (
 // golden bytes at every shard count × worker count combination. The
 // shard count changes which goroutine computes each host's partials;
 // it must never change a single float in the serial host-ID-order
-// reduction, and therefore never a report byte.
+// reduction, and therefore never a report byte. Each cell compares
+// every experiment's section in its own subtest, so a divergence
+// names the experiment that moved and the other sections are still
+// checked; the whole report is compared last, which also pins the
+// section order and the bytes between sections.
 func TestRunAllByteIdenticalAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several quick-mode full sweeps; skipped with -short")
@@ -23,11 +27,27 @@ func TestRunAllByteIdenticalAcrossShards(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 4} {
-			var got bytes.Buffer
-			if err := RunAll(&got, Options{Quick: true, Workers: workers, Shards: shards, EvalWorkers: 2}); err != nil {
-				t.Fatal(err)
-			}
-			diffAt(t, fmt.Sprintf("shards=%d/workers=%d", shards, workers), got.Bytes(), want)
+			cell := fmt.Sprintf("shards=%d/workers=%d", shards, workers)
+			t.Run(cell, func(t *testing.T) {
+				var got bytes.Buffer
+				if err := RunAll(&got, Options{Quick: true, Workers: workers, Shards: shards}); err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range IDs() {
+					t.Run(id, func(t *testing.T) {
+						wantSec, ok := reportSection(want, id)
+						if !ok {
+							t.Fatalf("experiment %s not found in golden_quick.txt", id)
+						}
+						gotSec, ok := reportSection(got.Bytes(), id)
+						if !ok {
+							t.Fatalf("experiment %s missing from the report", id)
+						}
+						diffAt(t, cell+"/"+id, gotSec, wantSec)
+					})
+				}
+				diffAt(t, cell, got.Bytes(), want)
+			})
 		}
 	}
 }
@@ -50,7 +70,7 @@ func TestShardedFaultedExperimentsByteIdentical(t *testing.T) {
 			t.Fatalf("%s serial: %v", id, err)
 		}
 		var sharded bytes.Buffer
-		if err := Run(id, &sharded, Options{Quick: true, Shards: 4, EvalWorkers: 2}); err != nil {
+		if err := Run(id, &sharded, Options{Quick: true, Shards: 4}); err != nil {
 			t.Fatalf("%s sharded: %v", id, err)
 		}
 		diffAt(t, id+" sharded-vs-serial", sharded.Bytes(), base.Bytes())

@@ -83,22 +83,28 @@ func (s Scenario) RunReplicatedWorkers(workers int, seeds []uint64, fleet func(s
 	}
 	// Same-fleet mode reuses one world across seeds: the world is
 	// seed-independent (construction consumes no randomness), so it is
-	// built once and forked per seed. Per-seed fleets rebuild the world
-	// cold, as before.
+	// built once and forked per seed. Per-seed fleets are per-seed
+	// worlds, each built by Start.
 	var proto *Prototype
-	if fleet == nil && !s.ColdWorld {
-		if p, err := s.Prototype(); err == nil {
-			proto = p
+	if fleet == nil {
+		p, err := s.Prototype()
+		if err != nil {
+			return nil, fmt.Errorf("seed %d: %w", seeds[0], err)
 		}
+		proto = p
 	}
 	runs, err := parallel.Map(context.Background(), len(seeds), workers,
 		func(_ context.Context, i int) (*Result, error) {
 			sc := s
 			sc.Seed = seeds[i]
-			if fleet != nil {
+			var res *Result
+			var err error
+			if proto != nil {
+				res, err = proto.Run(sc)
+			} else {
 				sc.VMs = fleet(seeds[i])
+				res, err = sc.Run()
 			}
-			res, err := runScenario(proto, sc)
 			if err != nil {
 				return nil, fmt.Errorf("seed %d: %w", seeds[i], err)
 			}

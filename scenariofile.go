@@ -60,11 +60,14 @@ type ScenarioFile struct {
 	// after Events, in order).
 	Chaos []ChaosFile `json:"chaos,omitempty"`
 	Seed  uint64      `json:"seed,omitempty"`
-	// Shards and EvalWorkers shard the evaluation tick inside the
-	// simulation (wall-clock only; results are byte-identical for every
-	// value — see Scenario.Shards).
-	Shards      int `json:"shards,omitempty"`
-	EvalWorkers int `json:"evalWorkers,omitempty"`
+	// Shards shards the evaluation tick inside the simulation
+	// (wall-clock only; results are byte-identical for every value —
+	// see Scenario.Shards).
+	Shards int `json:"shards,omitempty"`
+	// RetiredEvalWorkers holds the retired "evalWorkers" key: the shard
+	// worker count is always min(Shards, GOMAXPROCS). The key still
+	// decodes, so old files load, and is ignored.
+	RetiredEvalWorkers int `json:"evalWorkers,omitempty"`
 	// Delta enables event-driven delta evaluation (wall-clock only;
 	// results are byte-identical with it on or off — see
 	// Scenario.Delta).
@@ -110,11 +113,10 @@ type ManagerFile struct {
 	PredictiveWake bool    `json:"predictiveWake,omitempty"`
 	PanicShortfall float64 `json:"panicShortfall,omitempty"`
 	Forecast       string  `json:"forecast,omitempty"` // last-value, ewma, peak-window
-	// Incremental selects the planning mode: "on" (default) maintains
-	// planning inputs from per-host deltas, "off" rebuilds them by full
-	// scan each control step. Wall-clock only; results are
-	// byte-identical either way.
-	Incremental string `json:"incremental,omitempty"`
+	// RetiredIncremental holds the retired "incremental" key: planning
+	// is always incremental. The key still decodes, so old files load,
+	// and is ignored.
+	RetiredIncremental string `json:"incremental,omitempty"`
 }
 
 // CtrlPlaneFile mirrors the CtrlPreset knobs in JSON: mean one-way
@@ -348,15 +350,11 @@ func (f ScenarioFile) Build() (Scenario, error) {
 		Horizon:      time.Duration(f.HorizonHours * float64(time.Hour)),
 		Seed:         seed,
 		Shards:       f.Shards,
-		EvalWorkers:  f.EvalWorkers,
 		Delta:        f.Delta,
 		TelemetryCap: f.TelemetryCap,
 	}
 	if f.Shards < 0 {
 		return Scenario{}, fmt.Errorf("agilepower: negative shards %d", f.Shards)
-	}
-	if f.EvalWorkers < 0 {
-		return Scenario{}, fmt.Errorf("agilepower: negative eval workers %d", f.EvalWorkers)
 	}
 	if f.TelemetryCap < 0 {
 		return Scenario{}, fmt.Errorf("agilepower: negative telemetry cap %d", f.TelemetryCap)
@@ -398,15 +396,6 @@ func (f ScenarioFile) Build() (Scenario, error) {
 			sc.Manager.Forecast = ForecastSpec{Kind: ForecastPeakWindow}
 		default:
 			return Scenario{}, fmt.Errorf("agilepower: unknown forecast %q", m.Forecast)
-		}
-		switch m.Incremental {
-		case "":
-		case "on":
-			sc.Manager.Incremental = IncrementalOn
-		case "off":
-			sc.Manager.Incremental = IncrementalOff
-		default:
-			return Scenario{}, fmt.Errorf("agilepower: unknown incremental mode %q", m.Incremental)
 		}
 	}
 	if cp := f.CtrlPlane; cp != nil {

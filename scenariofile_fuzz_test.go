@@ -28,6 +28,7 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add(`{"hosts":4,"fleets":[{"kind":"flat","count":2}],"events":[{"at":"-1h","action":"crash","target":"host-1"}]}`)
 	f.Add(`{"hosts":4,"fleets":[{"kind":"flat","count":2}],"chaos":[{"pattern":"flaky-resume","intensity":1}]}`)
 	f.Add(`{"hosts":4,"fleets":[{"kind":"flat","count":2}],"telemtryCap":100}`)
+	f.Add(`{"hosts":4,"fleets":[{"kind":"flat","count":2}],"manager":{"incremental":"off"},"shards":2,"evalWorkers":4}`)
 	f.Add(`{"hosts":4,"fleets":[{"kind":"flat","count":2}]} trailing`)
 	f.Fuzz(func(t *testing.T, input string) {
 		sc, err := ParseScenario([]byte(input))

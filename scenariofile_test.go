@@ -1,6 +1,8 @@
 package agilepower
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -15,7 +17,7 @@ const sampleScenarioFile = `{
   ],
   "horizonHours": 6,
   "policy": "dpm-s3",
-  "manager": {"periodMinutes": 3, "targetUtil": 0.65, "predictiveWake": true, "forecast": "ewma", "incremental": "off"},
+  "manager": {"periodMinutes": 3, "targetUtil": 0.65, "predictiveWake": true, "forecast": "ewma"},
   "churn": {"arrivalsPerHour": 2, "meanLifetimeHours": 1},
   "seed": 5
 }`
@@ -46,9 +48,6 @@ func TestParseScenarioFull(t *testing.T) {
 	if sc.Manager.Forecast.Kind != ForecastEWMA {
 		t.Fatalf("forecast = %v", sc.Manager.Forecast.Kind)
 	}
-	if sc.Manager.Incremental != IncrementalOff {
-		t.Fatalf("incremental = %v", sc.Manager.Incremental)
-	}
 	if sc.Churn == nil || sc.Churn.ArrivalsPerHour != 2 || sc.Churn.MeanLifetime != time.Hour {
 		t.Fatalf("churn: %+v", sc.Churn)
 	}
@@ -72,7 +71,6 @@ func TestParseScenarioErrors(t *testing.T) {
 		{"bad fleet kind", `{"hosts":4,"fleets":[{"kind":"quantum","count":2}]}`},
 		{"bad policy", `{"hosts":4,"policy":"yolo","fleets":[{"kind":"flat","count":2}]}`},
 		{"bad forecast", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"manager":{"forecast":"crystal-ball"}}`},
-		{"bad incremental", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"manager":{"incremental":"maybe"}}`},
 		{"replicated missing params", `{"hosts":4,"fleets":[{"kind":"replicated"}]}`},
 		{"no hosts", `{"fleets":[{"kind":"flat","count":2}]}`},
 		{"bad churn", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"churn":{"arrivalsPerHour":-1}}`},
@@ -152,6 +150,48 @@ func TestParseScenarioRejectsUnknownKeys(t *testing.T) {
 				t.Errorf("accepted %s", tc.name)
 			}
 		})
+	}
+}
+
+// retiredKeysFile carries the two retired scenario-file keys,
+// "evalWorkers" and "manager.incremental", on top of an otherwise
+// ordinary file; %s splices them in (or not).
+const retiredKeysFile = `{
+  "hosts": 6,
+  "fleets": [{"kind": "mixed", "count": 20}],
+  "horizonHours": 4,
+  "policy": "dpm-s3",
+  "manager": {"periodMinutes": 5%s},
+  "churn": {"arrivalsPerHour": 2, "meanLifetimeHours": 1},
+  "shards": 2%s,
+  "seed": 3
+}`
+
+// Old scenario files that still set the retired keys must keep
+// loading under the strict decoder, and the keys must change nothing:
+// the run is byte-identical to the same file without them.
+func TestParseScenarioRetiredKeysIgnored(t *testing.T) {
+	run := func(in string) (*Result, []byte) {
+		t.Helper()
+		sc, err := ParseScenario([]byte(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log bytes.Buffer
+		if err := res.Events.Write(&log); err != nil {
+			t.Fatal(err)
+		}
+		return res, log.Bytes()
+	}
+	plain, plainLog := run(fmt.Sprintf(retiredKeysFile, "", ""))
+	retired, retiredLog := run(fmt.Sprintf(retiredKeysFile, `, "incremental": "off"`, `, "evalWorkers": 4`))
+	assertSameResult(t, plain, retired)
+	if !bytes.Equal(plainLog, retiredLog) {
+		t.Fatal("event log bytes differ with the retired keys set")
 	}
 }
 

@@ -40,7 +40,9 @@ type Session struct {
 }
 
 // Start builds the scenario's cluster and manager and performs the
-// initial evaluation, leaving the clock at zero.
+// initial evaluation, leaving the clock at zero. It is the single-run
+// entry point; grid runners fork a shared Prototype instead, and the
+// fork tests hold every fork byte-identical to Start.
 func (s Scenario) Start() (*Session, error) {
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
@@ -74,7 +76,6 @@ func buildWorld(eng *sim.Engine, s Scenario, profile *Profile) (*cluster.Cluster
 		Migration:    s.Migration,
 		Horizon:      s.Horizon,
 		Shards:       s.Shards,
-		EvalWorkers:  s.EvalWorkers,
 		Delta:        s.Delta,
 		TelemetryCap: s.TelemetryCap,
 	})
@@ -263,10 +264,10 @@ func (p *Prototype) Run(sc Scenario) (*Result, error) {
 
 // compatible checks that a cell scenario describes the same world the
 // prototype captured. Cell fields (Name, Seed, Manager, Faults,
-// CtrlPlane, Churn, ColdWorld) are free to vary; everything that went
-// into world construction must match. VMs must be the same slice, not
-// merely equal specs: prototype reuse is only sound when cells share
-// one fleet.
+// CtrlPlane, Churn) are free to vary; everything that went into world
+// construction must match. VMs must be the same slice, not merely
+// equal specs: prototype reuse is only sound when cells share one
+// fleet.
 func (p *Prototype) compatible(sc Scenario) error {
 	w := p.world
 	mismatch := ""
@@ -291,8 +292,6 @@ func (p *Prototype) compatible(sc Scenario) error {
 		mismatch = "EvalStep"
 	case sc.Shards != w.Shards:
 		mismatch = "Shards"
-	case sc.EvalWorkers != w.EvalWorkers:
-		mismatch = "EvalWorkers"
 	case sc.Delta != w.Delta:
 		mismatch = "Delta"
 	case sc.TelemetryCap != w.TelemetryCap:
@@ -333,18 +332,6 @@ func sameMigration(a, b *MigrationModel) bool {
 		return a == b
 	}
 	return *a == *b
-}
-
-// runScenario runs one grid cell: as a fork of proto when a prototype
-// is available, and as a cold start otherwise. The two paths produce
-// identical bytes; proto == nil is the ColdWorld escape hatch (and the
-// fallback when prototype construction itself failed, so the cold path
-// re-surfaces the construction error per cell).
-func runScenario(proto *Prototype, sc Scenario) (*Result, error) {
-	if proto != nil {
-		return proto.Run(sc)
-	}
-	return sc.Run()
 }
 
 // Now returns the current virtual time.
