@@ -337,6 +337,9 @@ func (s Scenario) Validate() error {
 	if s.TelemetryCap < 0 {
 		return fmt.Errorf("agilepower: negative telemetry cap %d", s.TelemetryCap)
 	}
+	if err := s.Manager.Check(); err != nil {
+		return err
+	}
 	if s.Churn != nil {
 		if err := s.Churn.Validate(); err != nil {
 			return err

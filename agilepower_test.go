@@ -34,6 +34,19 @@ func TestScenarioValidate(t *testing.T) {
 	if err := s.Validate(); err == nil {
 		t.Error("accepted VM without trace")
 	}
+	// Manager tuning is checked as NewManager will run it, defaults
+	// applied, so a bad config fails here and not at Start.
+	for _, m := range []ManagerConfig{
+		{Policy: DPMS3, TargetUtil: 1.5},
+		{Policy: DPMS3, SpareHosts: -1},
+		{Policy: DPMS3, TargetUtil: 0.9}, // above the default wake threshold
+	} {
+		s = smallScenario()
+		s.Manager = m
+		if err := s.Validate(); err == nil {
+			t.Errorf("accepted manager %+v", m)
+		}
+	}
 }
 
 func TestRunProducesFullResult(t *testing.T) {

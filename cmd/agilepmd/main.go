@@ -1,8 +1,9 @@
 // Command agilepmd serves the simulator over HTTP: the multi-tenant
-// simulation service — an async job queue with per-tenant fairness,
-// a content-addressed result cache, SSE progress streaming, and a
-// Prometheus /metrics endpoint — plus the legacy synchronous /api
-// control plane.
+// simulation service — an async job queue with per-tenant fairness
+// (?wait=1 blocks for the result), a content-addressed result cache,
+// SSE progress streaming, and a Prometheus /metrics endpoint — plus
+// live sessions (/api/sessions) that step one run interactively and
+// the policy, profile and experiment catalogues under /api.
 //
 //	agilepmd -addr :8080
 //	curl -s localhost:8080/api/profile

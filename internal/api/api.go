@@ -1,13 +1,16 @@
 // Package api exposes the simulator and manager over HTTP/JSON: the
 // multi-tenant simulation service. Scenario runs are submitted to a
 // bounded async job queue (202 + job ID, per-tenant fair scheduling,
-// queue-depth backpressure), executed by a worker pool that forks
-// shared world prototypes, and served from a content-addressed result
-// cache whenever the same (scenario, seed, code version) was run
-// before — determinism makes a cache hit byte-identical to a fresh
-// run. Progress streams over SSE, and operational state exports in
-// Prometheus text format on /metrics. The legacy synchronous /api
-// routes remain for small interactive runs and live sessions.
+// queue-depth backpressure; ?wait=1 blocks for the result), executed
+// by a worker pool that forks shared world prototypes, and served from
+// a content-addressed result cache whenever the same (scenario, seed,
+// code version) was run before — determinism makes a cache hit
+// byte-identical to a fresh run. Progress streams over SSE, and
+// operational state exports in Prometheus text format on /metrics.
+// Live sessions (/api/sessions) are admitted by the same strict
+// decoder and prepare step, fork the same world pool, and finalize to
+// the same result bytes; /api also serves the policy and profile
+// catalogues and the paper's experiments.
 package api
 
 import (
@@ -17,8 +20,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -26,7 +27,6 @@ import (
 	"agilepower/internal/apimetrics"
 	"agilepower/internal/experiments"
 	"agilepower/internal/jobs"
-	"agilepower/internal/report"
 	"agilepower/internal/rescache"
 )
 
@@ -133,12 +133,15 @@ type RunRequest struct {
 	// evaluation, event-driven delta evaluation, and the telemetry
 	// sample cap. Shards and Delta are invisible in results —
 	// byte-identical for every setting — yet all three are part of the
-	// request hash (conservative: different knobs, different key). The
-	// retired evalWorkers field is no longer read; requests that still
-	// send it decode as if it were absent.
+	// request hash (conservative: different knobs, different key).
 	Shards       int  `json:"shards,omitempty"`
 	Delta        bool `json:"delta,omitempty"`
 	TelemetryCap int  `json:"telemetryCap,omitempty"`
+	// RetiredEvalWorkers holds the retired "evalWorkers" key: the shard
+	// worker count is always min(Shards, GOMAXPROCS). The key still
+	// decodes under the strict decoder, so old clients keep working,
+	// and is zeroed right after decode, so it never reaches a key.
+	RetiredEvalWorkers int `json:"evalWorkers,omitempty"`
 
 	// Tenant scopes queue fairness and per-tenant backpressure on the
 	// async endpoints ("" is the anonymous tenant).
@@ -152,37 +155,10 @@ type ChurnRequest struct {
 	DemandCores       float64 `json:"demandCores,omitempty"`
 }
 
-// RunResponse summarizes one completed run.
-type RunResponse struct {
-	ID       int     `json:"id"`
-	Name     string  `json:"name"`
-	Policy   string  `json:"policy"`
-	Hosts    int     `json:"hosts"`
-	VMs      int     `json:"vms"`
-	HorizonH float64 `json:"horizonHours"`
-
-	EnergyKWh         float64 `json:"energyKWh"`
-	MeanPowerW        float64 `json:"meanPowerW"`
-	Satisfaction      float64 `json:"satisfaction"`
-	ViolationFraction float64 `json:"violationFraction"`
-	Migrations        int     `json:"migrations"`
-	Sleeps            int     `json:"sleeps"`
-	Wakes             int     `json:"wakes"`
-	OracleKWh         float64 `json:"oracleKWh,omitempty"`
-
-	ChurnArrived     int     `json:"churnArrived,omitempty"`
-	ChurnPlaced      int     `json:"churnPlaced,omitempty"`
-	ProvisionP95Secs float64 `json:"provisionP95Secs,omitempty"`
-}
-
 // Server is the HTTP control plane. The zero value is not usable; use
 // NewServer.
 type Server struct {
 	cfg Config
-
-	mu     sync.Mutex
-	nextID int
-	runs   map[int]*storedRun
 
 	sessions *sessionStore
 
@@ -199,19 +175,12 @@ type Server struct {
 	protoUses uint64 // protoFor lookups, the LRU clock
 }
 
-type storedRun struct {
-	resp   RunResponse
-	result *agilepower.Result
-}
-
 // NewServer returns a control plane with started job workers. Call
 // Close (or Drain) on shutdown.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		nextID:   1,
-		runs:     make(map[int]*storedRun),
 		sessions: newSessionStore(),
 		cache:    rescache.New(cfg.CacheBytes),
 		metrics:  apimetrics.NewRegistry(),
@@ -250,11 +219,6 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /api/policies", s.handlePolicies)
 	mux.HandleFunc("GET /api/profile", s.handleProfile)
-	mux.HandleFunc("POST /api/runs", s.handleCreateRun)
-	mux.HandleFunc("GET /api/runs", s.handleListRuns)
-	mux.HandleFunc("GET /api/runs/{id}", s.handleGetRun)
-	mux.HandleFunc("GET /api/runs/{id}/series", s.handleRunSeries)
-	mux.HandleFunc("GET /api/runs/{id}/events", s.handleRunEvents)
 	mux.HandleFunc("GET /api/experiments", s.handleListExperiments)
 	mux.HandleFunc("POST /api/experiments/{id}", s.handleRunExperiment)
 	// v1: the async multi-tenant service.
@@ -276,6 +240,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeRaw emits an already-encoded JSON body verbatim, so canonical
+// result bytes reach the client unchanged.
+func writeRaw(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
 type apiError struct {
 	Error string `json:"error"`
 }
@@ -287,32 +259,23 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // maxBodyBytes caps every request body the service decodes.
 const maxBodyBytes = 4 << 20
 
-// bodyDecoder returns a JSON decoder over r's body, capped at
-// maxBodyBytes: every route that reads a body goes through it.
-func bodyDecoder(w http.ResponseWriter, r *http.Request) *json.Decoder {
-	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-}
-
-// writeDecodeError answers a failed body decode: 413 when the body
-// went over maxBodyBytes, 400 for anything else.
-func writeDecodeError(w http.ResponseWriter, what string, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		writeError(w, http.StatusRequestEntityTooLarge, "%s: body exceeds %d bytes", what, tooBig.Limit)
-		return
-	}
-	writeError(w, http.StatusBadRequest, "%s: %v", what, err)
-}
-
-// decodeBody decodes r's capped body into v, leniently: unknown
-// fields are ignored, so clients that still send retired fields keep
-// working. On failure it has already written the error response.
+// decodeBody decodes r's body into v: the one decoder of every route
+// that reads a body. It is strict — an unknown field is a 400, so a
+// misspelled knob cannot silently run with its default — and capped at
+// maxBodyBytes (413 past it). On failure it has already written the
+// error response.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := bodyDecoder(w, r).Decode(v); err != nil {
-		writeDecodeError(w, "decoding request", err)
-		return false
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, "decoding request: body exceeds %d bytes", tooBig.Limit)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 	}
-	return true
+	return err == nil
 }
 
 func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
@@ -368,7 +331,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildScenario converts a request into a runnable scenario, enforcing
-// the server's admission budget.
+// the server's admission budget. The caller validates the result.
 func (s *Server) buildScenario(req RunRequest) (agilepower.Scenario, error) {
 	if req.Hosts <= 0 || req.Hosts > s.cfg.MaxHosts {
 		return agilepower.Scenario{}, fmt.Errorf("hosts must be in [1, %d]", s.cfg.MaxHosts)
@@ -459,126 +422,6 @@ func (s *Server) buildScenario(req RunRequest) (agilepower.Scenario, error) {
 		}
 	}
 	return sc, nil
-}
-
-func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	sc, err := s.buildScenario(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	res, err := sc.Run()
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "run failed: %v", err)
-		return
-	}
-	resp := RunResponse{
-		Name:              sc.Name,
-		Policy:            res.Policy,
-		Hosts:             res.Hosts,
-		VMs:               len(sc.VMs),
-		HorizonH:          res.Horizon.Hours(),
-		EnergyKWh:         res.EnergyKWh(),
-		MeanPowerW:        res.MeanPowerW,
-		Satisfaction:      res.Satisfaction,
-		ViolationFraction: res.ViolationFraction,
-		Migrations:        res.Migrations.Completed,
-		Sleeps:            res.Sleeps,
-		Wakes:             res.Wakes,
-		ChurnArrived:      res.Churn.Arrived,
-		ChurnPlaced:       res.Churn.Placed,
-		ProvisionP95Secs:  res.Churn.ProvisionP95.Seconds(),
-	}
-	if oracle, err := res.OracleEnergy(); err == nil {
-		resp.OracleKWh = oracle.KWh()
-	}
-	s.mu.Lock()
-	resp.ID = s.nextID
-	s.nextID++
-	s.runs[resp.ID] = &storedRun{resp: resp, result: res}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	out := make([]RunResponse, 0, len(s.runs))
-	for _, run := range s.runs {
-		out = append(out, run.resp)
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	writeJSON(w, http.StatusOK, out)
-}
-
-func atoiPath(r *http.Request) (int, error) {
-	return strconv.Atoi(r.PathValue("id"))
-}
-
-func (s *Server) lookup(r *http.Request) (*storedRun, error) {
-	id, err := atoiPath(r)
-	if err != nil {
-		return nil, fmt.Errorf("bad run id %q", r.PathValue("id"))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	run, ok := s.runs[id]
-	if !ok {
-		return nil, fmt.Errorf("run %d not found", id)
-	}
-	return run, nil
-}
-
-func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
-	run, err := s.lookup(r)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, run.resp)
-}
-
-func (s *Server) handleRunSeries(w http.ResponseWriter, r *http.Request) {
-	run, err := s.lookup(r)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	step := time.Minute
-	if q := r.URL.Query().Get("step"); q != "" {
-		step, err = time.ParseDuration(q)
-		if err != nil || step <= 0 {
-			writeError(w, http.StatusBadRequest, "bad step %q", q)
-			return
-		}
-	}
-	horizon := run.result.Horizon
-	w.Header().Set("Content-Type", "text/csv")
-	err = report.MultiSeriesCSV(w,
-		run.result.Demand.Downsample(step, horizon),
-		run.result.Power.Downsample(step, horizon),
-		run.result.Delivered.Downsample(step, horizon),
-		run.result.ActiveHosts.Downsample(step, horizon),
-	)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-	}
-}
-
-func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
-	run, err := s.lookup(r)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := run.result.Events.Write(w); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-	}
 }
 
 func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {

@@ -81,9 +81,10 @@ func TestProfileEndpoint(t *testing.T) {
 	}
 }
 
+// postRun submits a run with wait=1 and returns the response.
 func postRun(t *testing.T, ts *httptest.Server, body string) (*http.Response, error) {
 	t.Helper()
-	return http.Post(ts.URL+"/api/runs", "application/json", strings.NewReader(body))
+	return http.Post(ts.URL+"/v1/runs?wait=1", "application/json", strings.NewReader(body))
 }
 
 func TestCreateAndFetchRun(t *testing.T) {
@@ -92,11 +93,20 @@ func TestCreateAndFetchRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusCreated {
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	run := decode[RunResponse](t, resp)
-	if run.ID != 1 || run.Policy != "dpm-s3" {
+	jobID := resp.Header.Get("X-Job-Id")
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var run RunResult
+	if err := json.Unmarshal(raw, &run); err != nil {
+		t.Fatal(err)
+	}
+	if run.Policy != "dpm-s3" || run.Hosts != 4 || run.VMs != 8 {
 		t.Fatalf("run = %+v", run)
 	}
 	if run.EnergyKWh <= 0 || run.Satisfaction <= 0 {
@@ -106,29 +116,31 @@ func TestCreateAndFetchRun(t *testing.T) {
 		t.Fatalf("oracle bound = %v vs energy %v", run.OracleKWh, run.EnergyKWh)
 	}
 
-	// Fetch it back.
-	resp2, err := http.Get(ts.URL + "/api/runs/1")
+	// Fetch it back through its job: the same bytes.
+	resp2, err := http.Get(ts.URL + "/v1/jobs/" + jobID + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := decode[RunResponse](t, resp2)
-	if got != run {
-		t.Fatalf("fetched %+v, created %+v", got, run)
-	}
-
-	// List contains it.
-	resp3, err := http.Get(ts.URL + "/api/runs")
+	got, err := io.ReadAll(resp2.Body)
+	resp2.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	list := decode[[]RunResponse](t, resp3)
-	if len(list) != 1 || list[0].ID != 1 {
-		t.Fatalf("list = %+v", list)
+	if resp2.StatusCode != http.StatusOK || string(got) != string(raw) {
+		t.Fatalf("fetched %d %s, created %s", resp2.StatusCode, got, raw)
 	}
 }
 
+// invalidTuning are run requests whose manager tuning or churn is out
+// of range: admission rejects them with 400 before any worker runs.
+var invalidTuning = []struct{ name, body string }{
+	{"target util above 1", `{"hosts":4,"vms":4,"fleet":"flat","targetUtil":1.5}`},
+	{"negative spare hosts", `{"hosts":4,"vms":4,"fleet":"flat","spareHosts":-1}`},
+	{"negative arrival rate", `{"hosts":4,"vms":4,"fleet":"flat","churn":{"arrivalsPerHour":-3}}`},
+}
+
 func TestCreateRunValidation(t *testing.T) {
-	ts := newTestServer(t)
+	s, ts := newService(t, Config{})
 	cases := []struct {
 		name string
 		body string
@@ -141,6 +153,7 @@ func TestCreateRunValidation(t *testing.T) {
 		{"bad policy", `{"hosts":4,"vms":4,"fleet":"flat","policy":"yolo"}`},
 		{"horizon too long", `{"hosts":4,"vms":4,"fleet":"flat","horizonHours":100000}`},
 	}
+	cases = append(cases, invalidTuning...)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := postRun(t, ts, tc.body)
@@ -153,61 +166,23 @@ func TestCreateRunValidation(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestGetRunNotFound(t *testing.T) {
-	ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/api/runs/42")
-	if err != nil {
-		t.Fatal(err)
+	// The live-session route shares the prepare step, and a scenario
+	// file with the same bad tuning is rejected by the same Validate.
+	for _, tc := range invalidTuning {
+		resp := postURL(t, ts.URL+"/api/sessions", tc.body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("session %s: status = %d, want 400", tc.name, resp.StatusCode)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404", resp.StatusCode)
+	resp := postURL(t, ts.URL+"/v1/scenarios",
+		`{"hosts":4,"fleets":[{"kind":"flat","count":4}],"manager":{"targetUtil":1.5}}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("scenario file with target util 1.5: status = %d, want 400", resp.StatusCode)
 	}
-	resp2, err := http.Get(ts.URL + "/api/runs/notanumber")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404", resp2.StatusCode)
-	}
-}
-
-func TestRunSeriesCSV(t *testing.T) {
-	ts := newTestServer(t)
-	if _, err := postRun(t, ts, `{"hosts":2,"vms":4,"fleet":"flat","horizonHours":1}`); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(ts.URL + "/api/runs/1/series?step=15m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/csv" {
-		t.Fatalf("content type = %q", ct)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-	if !strings.HasPrefix(body, "offset_seconds,") {
-		t.Fatalf("csv header missing: %q", body)
-	}
-	// 1h at 15m step → header + 4 rows.
-	if lines := strings.Count(strings.TrimSpace(body), "\n"); lines != 4 {
-		t.Fatalf("csv rows = %d, want 4", lines)
-	}
-	// Bad step rejected.
-	resp2, err := http.Get(ts.URL + "/api/runs/1/series?step=banana")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad step status = %d", resp2.StatusCode)
+	if c := s.queue.Counters(); c.Submitted != 0 || c.Failed != 0 {
+		t.Fatalf("rejected requests reached the queue: %+v", c)
 	}
 }
 
@@ -218,7 +193,7 @@ func TestChurnOverAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := decode[RunResponse](t, resp)
+	run := decode[RunResult](t, resp)
 	if run.ChurnArrived == 0 || run.ChurnPlaced == 0 {
 		t.Fatalf("churn not reported: %+v", run)
 	}
@@ -258,5 +233,15 @@ func TestMethodRouting(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("status = %d, want 405", resp.StatusCode)
+	}
+	// The synchronous run route is gone: a blocking run is
+	// POST /v1/runs?wait=1.
+	resp2, err := http.Post(ts.URL+"/api/runs", "application/json", strings.NewReader(`{"hosts":2,"vms":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /api/runs status = %d, want 404", resp2.StatusCode)
 	}
 }

@@ -12,20 +12,12 @@ import (
 // decodes one; each must stop reading at maxBodyBytes and answer 413.
 func TestRequestBodiesCapped(t *testing.T) {
 	_, ts := newService(t, Config{})
-	// The session routes look the session up before reading the body,
-	// so they need a live one.
-	if resp := postURL(t, ts.URL+"/api/sessions", smallRun); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create session: status %d", resp.StatusCode)
-	} else {
-		resp.Body.Close()
-	}
 	// One well-formed object whose string value runs past the cap, so
 	// the decoder has to read beyond it whatever the route's schema.
 	huge := `{"name":"` + strings.Repeat("a", 5<<20) + `"}`
 	for _, route := range []string{
 		"/v1/runs",
 		"/v1/scenarios",
-		"/api/runs",
 		"/api/sessions",
 		"/api/sessions/1/advance",
 		"/api/sessions/1/maintenance",
@@ -68,21 +60,27 @@ func TestProtoPoolEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 // TestPooledWorldIgnoresFirstJobsChurn: the pooled world is built from
-// world fields only, so a first job with invalid churn fails alone and
-// a later job for the same fleet shape still runs — with the same bytes
-// as on a server whose pool never saw the bad job.
+// world fields only, so a first run with invalid churn fails alone and
+// a later run for the same fleet shape still runs — with the same bytes
+// as on a server whose pool never saw the bad run. Admission rejects
+// invalid churn with 400, so the bad run is handed to the pool directly.
 func TestPooledWorldIgnoresFirstJobsChurn(t *testing.T) {
-	const run = `{"hosts":4,"vms":12,"fleet":"diurnal","horizonHours":2,"seed":3%s}`
-	_, ts := newService(t, Config{})
-	if st, _, body := postWait(t, ts.URL, fmt.Sprintf(run, `,"churn":{"arrivalsPerHour":-1}`)); st != http.StatusUnprocessableEntity {
-		t.Fatalf("invalid churn: status %d, want 422 (%s)", st, body)
+	const run = `{"hosts":4,"vms":12,"fleet":"diurnal","horizonHours":2,"seed":3,"churn":{"arrivalsPerHour":%d}}`
+	s, ts := newService(t, Config{})
+	if st, _, body := postWait(t, ts.URL, fmt.Sprintf(run, -1)); st != http.StatusBadRequest {
+		t.Fatalf("invalid churn: status %d, want 400 (%s)", st, body)
 	}
-	st, _, got := postWait(t, ts.URL, fmt.Sprintf(run, `,"churn":{"arrivalsPerHour":2}`))
+	bad := prepare(t, s, fmt.Sprintf(run, 2))
+	bad.sc.Churn.ArrivalsPerHour = -1
+	if _, err := s.startSession(bad); err == nil {
+		t.Fatal("a run with invalid churn started")
+	}
+	st, _, got := postWait(t, ts.URL, fmt.Sprintf(run, 2))
 	if st != http.StatusOK {
 		t.Fatalf("valid churn after invalid: status %d (%s)", st, got)
 	}
 	_, fresh := newService(t, Config{})
-	if _, _, want := postWait(t, fresh.URL, fmt.Sprintf(run, `,"churn":{"arrivalsPerHour":2}`)); string(want) != string(got) {
+	if _, _, want := postWait(t, fresh.URL, fmt.Sprintf(run, 2)); string(want) != string(got) {
 		t.Fatalf("result bytes differ from a fresh server:\nfresh %s\ngot   %s", want, got)
 	}
 }

@@ -1,9 +1,9 @@
 // The async simulation service: the v1 HTTP surface over the job
 // queue, the content-addressed result cache, the shared-world
 // prototype cache, streaming progress, and the Prometheus metrics
-// endpoint. The legacy synchronous /api routes live in api.go; this
-// file is everything that makes the daemon multi-tenant and
-// production-shaped.
+// endpoint — plus the pieces live sessions share with it: the prepare
+// step that admits a run request, the world pool, and the canonical
+// result encoder.
 package api
 
 import (
@@ -54,6 +54,39 @@ type RunResult struct {
 	AssertionFailures int `json:"assertionFailures,omitempty"`
 }
 
+// summarize builds the canonical RunResult of a finished run: the one
+// place a result payload is assembled, shared by job execution and
+// session finalize, so both produce the same bytes for the same run.
+// vms is the scenario's initial fleet size.
+func summarize(name string, vms int, res *agilepower.Result) RunResult {
+	out := RunResult{
+		Name:              name,
+		Policy:            res.Policy,
+		Hosts:             res.Hosts,
+		VMs:               vms,
+		HorizonH:          res.Horizon.Hours(),
+		EnergyKWh:         res.EnergyKWh(),
+		MeanPowerW:        res.MeanPowerW,
+		PeakPowerW:        res.PeakPowerW,
+		Satisfaction:      res.Satisfaction,
+		ViolationFraction: res.ViolationFraction,
+		Migrations:        res.Migrations.Completed,
+		Sleeps:            res.Sleeps,
+		Wakes:             res.Wakes,
+		ChurnArrived:      res.Churn.Arrived,
+		ChurnPlaced:       res.Churn.Placed,
+		ProvisionP95Secs:  res.Churn.ProvisionP95.Seconds(),
+		SuspendFailures:   res.SuspendFailures,
+		WakeFailures:      res.WakeFailures,
+		Crashes:           res.Crashes,
+		AssertionFailures: res.AssertionFailures,
+	}
+	if oracle, err := res.OracleEnergy(); err == nil {
+		out.OracleKWh = oracle.KWh()
+	}
+	return out
+}
+
 // ProgressEvent is one streamed progress sample (an SSE "progress"
 // event), the wire form of agilepower.Progress.
 type ProgressEvent struct {
@@ -74,9 +107,10 @@ type SubmitResponse struct {
 	StreamURL string      `json:"streamUrl"`
 }
 
-// runPayload is the internal job payload: the scenario to execute,
-// its result-cache key, and (for /v1/runs jobs) the world fingerprint
-// that lets repeated fleet shapes fork a shared prototype.
+// runPayload is an admitted run: the scenario to execute, its
+// result-cache key, and (for run requests) the world fingerprint that
+// lets repeated fleet shapes fork a shared prototype. It is the job
+// payload and the input of a live session's start.
 type runPayload struct {
 	key      string
 	worldKey string // "" = always run cold (scenario-file jobs)
@@ -242,12 +276,12 @@ func (s *Server) protoFor(worldKey string) *protoEntry {
 	return e
 }
 
-// startSession builds the job's session: a fork of the shared world
-// prototype when the payload carries a world fingerprint, a Start of
-// its own world otherwise (scenario files). Forked and started runs
-// are byte-identical (the determinism gate pins it); forking just
-// skips host construction and initial placement for repeated fleet
-// shapes.
+// startSession builds the run's session, for a job or a live session
+// alike: a fork of the shared world prototype when the payload carries
+// a world fingerprint, a Start of its own world otherwise (scenario
+// files). Forked and started runs are byte-identical (the determinism
+// gate pins it); forking just skips host construction and initial
+// placement for repeated fleet shapes.
 func (s *Server) startSession(p *runPayload) (*agilepower.Session, error) {
 	if p.worldKey == "" {
 		return p.sc.Start()
@@ -255,8 +289,8 @@ func (s *Server) startSession(p *runPayload) (*agilepower.Session, error) {
 	e := s.protoFor(p.worldKey)
 	e.once.Do(func() {
 		// The pooled world is built from the world fields alone: the
-		// cell knobs of whichever job arrives first (churn here) must
-		// not decide whether the world builds for every later job.
+		// cell knobs of whichever run arrives first (churn here) must
+		// not decide whether the world builds for every later one.
 		base := p.sc
 		base.Churn = nil
 		e.sc = base
@@ -326,33 +360,7 @@ func (s *Server) runJob(ctx context.Context, j *jobs.Job) ([]byte, error) {
 			return nil, err
 		}
 	}
-	res := se.Result()
-	out := RunResult{
-		Name:              p.sc.Name,
-		Policy:            res.Policy,
-		Hosts:             res.Hosts,
-		VMs:               len(p.sc.VMs),
-		HorizonH:          res.Horizon.Hours(),
-		EnergyKWh:         res.EnergyKWh(),
-		MeanPowerW:        res.MeanPowerW,
-		PeakPowerW:        res.PeakPowerW,
-		Satisfaction:      res.Satisfaction,
-		ViolationFraction: res.ViolationFraction,
-		Migrations:        res.Migrations.Completed,
-		Sleeps:            res.Sleeps,
-		Wakes:             res.Wakes,
-		ChurnArrived:      res.Churn.Arrived,
-		ChurnPlaced:       res.Churn.Placed,
-		ProvisionP95Secs:  res.Churn.ProvisionP95.Seconds(),
-		SuspendFailures:   res.SuspendFailures,
-		WakeFailures:      res.WakeFailures,
-		Crashes:           res.Crashes,
-		AssertionFailures: res.AssertionFailures,
-	}
-	if oracle, err := res.OracleEnergy(); err == nil {
-		out.OracleKWh = oracle.KWh()
-	}
-	body, err := json.Marshal(out)
+	body, err := json.Marshal(summarize(p.sc.Name, len(p.sc.VMs), se.Result()))
 	if err != nil {
 		return nil, err
 	}
@@ -401,17 +409,15 @@ func writeResult(w http.ResponseWriter, body []byte, hit bool, jobID string) {
 	if jobID != "" {
 		w.Header().Set("X-Job-Id", jobID)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	writeRaw(w, http.StatusOK, body)
 }
 
 // submitCommon runs the shared async-submission tail: cache lookup,
 // enqueue (or cache-hit fast path), and the wait=1 blocking mode.
-func (s *Server) submitCommon(w http.ResponseWriter, r *http.Request, tenant, key string, sc agilepower.Scenario, worldKey string) {
+func (s *Server) submitCommon(w http.ResponseWriter, r *http.Request, tenant string, p *runPayload) {
 	began := time.Now()
 	wait := r.URL.Query().Get("wait") == "1" || r.URL.Query().Get("wait") == "true"
-	if body, ok := s.cache.Get(key); ok {
+	if body, ok := s.cache.Get(p.key); ok {
 		// Cache hit: no simulation, no queue wait — the job is born
 		// terminal for bookkeeping and the bytes are served as stored
 		// (identical to the cold response that populated them).
@@ -428,7 +434,7 @@ func (s *Server) submitCommon(w http.ResponseWriter, r *http.Request, tenant, ke
 		writeAccepted(w, j)
 		return
 	}
-	j, err := s.queue.Submit(tenant, &runPayload{key: key, worldKey: worldKey, sc: sc})
+	j, err := s.queue.Submit(tenant, p)
 	if err != nil {
 		submitError(w, err)
 		return
@@ -456,29 +462,41 @@ func (s *Server) submitCommon(w http.ResponseWriter, r *http.Request, tenant, ke
 	}
 }
 
+// prepareRun is the one admission step of every run-request route
+// (POST /v1/runs and POST /api/sessions): strict decode, the admission
+// budget, scenario validation, and the request's cache key and world
+// fingerprint. On failure it has already written the 400 (or 413).
+func (s *Server) prepareRun(w http.ResponseWriter, r *http.Request) (p *runPayload, tenant string, ok bool) {
+	var req RunRequest
+	if !decodeBody(w, r, &req) {
+		return nil, "", false
+	}
+	req.RetiredEvalWorkers = 0
+	sc, err := s.buildScenario(req)
+	if err == nil {
+		err = sc.Validate()
+	}
+	var canonical []byte
+	if err == nil {
+		canonical, err = canonicalRunRequest(req)
+	}
+	var worldKey string
+	if err == nil {
+		worldKey, err = worldFingerprint(req)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, "", false
+	}
+	return &runPayload{key: rescache.Key(agilepower.CodeVersion, canonical), worldKey: worldKey, sc: sc}, req.Tenant, true
+}
+
 // handleSubmitRun is POST /v1/runs: the async (202 + job ID) form of
 // run submission, with ?wait=1 to block for the terminal result.
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if !decodeBody(w, r, &req) {
-		return
+	if p, tenant, ok := s.prepareRun(w, r); ok {
+		s.submitCommon(w, r, tenant, p)
 	}
-	sc, err := s.buildScenario(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	canonical, err := canonicalRunRequest(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	worldKey, err := worldFingerprint(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.submitCommon(w, r, req.Tenant, rescache.Key(agilepower.CodeVersion, canonical), sc, worldKey)
 }
 
 // handleSubmitScenario is POST /v1/scenarios: submit a full scenario
@@ -491,11 +509,8 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 	// Decode the file form first (strictly, mirroring ParseScenario) so
 	// the canonical bytes and admission counts come from the decoded
 	// struct, not the client's formatting.
-	dec := bodyDecoder(w, r)
-	dec.DisallowUnknownFields()
 	var f agilepower.ScenarioFile
-	if err := dec.Decode(&f); err != nil {
-		writeDecodeError(w, "decoding scenario file", err)
+	if !decodeBody(w, r, &f) {
 		return
 	}
 	if hosts := f.TotalHosts(); hosts <= 0 || hosts > s.cfg.MaxHosts {
@@ -529,7 +544,7 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 		tenant = r.URL.Query().Get("tenant")
 	}
 	key := rescache.Key(agilepower.CodeVersion, append([]byte("scenario:"), canonical...))
-	s.submitCommon(w, r, tenant, key, sc, "")
+	s.submitCommon(w, r, tenant, &runPayload{key: key, sc: sc})
 }
 
 func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {

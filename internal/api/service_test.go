@@ -525,13 +525,18 @@ func TestShardsDeltaKnobsByteIdentical(t *testing.T) {
 			t.Fatalf("%s: result bytes differ from serial run:\nserial %s\nknobs  %s", knobs, plain, got)
 		}
 	}
-	// The retired evalWorkers field still decodes and is ignored: the
-	// request keys like its shards-only twin above and hits its entry.
+	// The retired evalWorkers field still decodes under the strict
+	// decoder and is ignored: the request keys like its shards-only
+	// twin above and hits its entry.
 	st, xc, got := postWait(t, ts.URL, fmt.Sprintf(base, `,"shards":4,"evalWorkers":2`))
 	if st != http.StatusOK || xc != "hit" {
 		t.Fatalf("retired evalWorkers: status %d, X-Cache %q, want 200 hit", st, xc)
 	}
 	if !bytes.Equal(plain, got) {
 		t.Fatalf("retired evalWorkers: result bytes differ from serial run:\nserial %s\ngot    %s", plain, got)
+	}
+	// A misspelled knob is rejected, not silently run with its default.
+	if st, _, body := postWait(t, ts.URL, fmt.Sprintf(base, `,"shard":4`)); st != http.StatusBadRequest {
+		t.Fatalf("unknown field shard: status %d, want 400 (%s)", st, body)
 	}
 }

@@ -1,8 +1,10 @@
 package api
 
 import (
+	"encoding/json"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -12,20 +14,37 @@ import (
 // Live sessions: a scenario is started once and then driven by
 // explicit advance/maintenance calls, so external tooling can
 // interleave operator actions with simulated time — the HTTP face of
-// the library's Session API.
+// the library's Session API. A session is admitted by the same prepare
+// step as POST /v1/runs, forks the same world pool, and finalizes to
+// the same canonical RunResult bytes: a session advanced straight to
+// its horizon and finalized answers exactly what /v1/runs?wait=1 of
+// the same body does.
 //
-//	POST   /api/sessions                     {scenario…}            → {id,…}
+//	POST   /api/sessions                     {run request…}         → status
 //	GET    /api/sessions                                            → list
 //	GET    /api/sessions/{id}                                       → status
 //	POST   /api/sessions/{id}/advance        {"toHours": 6}         → status
 //	POST   /api/sessions/{id}/maintenance    {"host": 2, "exit": false}
 //	POST   /api/sessions/{id}/vms            {"name":…,"vcpus":…}   → {vmId}
-//	DELETE /api/sessions/{id}                finalize               → RunResponse
+//	DELETE /api/sessions/{id}                finalize               → RunResult
 //	GET    /api/sessions/{id}/events                                → text timeline
 
+// sessionMax bounds live sessions. Like a pooled world (protoCacheMax)
+// each holds a full host fleet and VM traces, and only finalize frees
+// one, so creation past the cap answers 429 instead of growing the
+// store with every request.
+const sessionMax = 64
+
+// liveSession is one started scenario. mu serializes every use of
+// session — a simulation is single-threaded — and session is nil once
+// the session is finalized (or failed to start), so a handler that
+// gets mu after that answers 404.
 type liveSession struct {
-	id      int
-	name    string
+	id   int
+	name string
+	vms  int // initial fleet size, for the final RunResult
+
+	mu      sync.Mutex
 	session *agilepower.Session
 }
 
@@ -49,6 +68,26 @@ func newSessionStore() *sessionStore {
 	return &sessionStore{nextID: 1, live: make(map[int]*liveSession)}
 }
 
+// add registers ls under a fresh ID, or reports false when sessionMax
+// sessions are already live.
+func (st *sessionStore) add(ls *liveSession) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.live) >= sessionMax {
+		return false
+	}
+	ls.id = st.nextID
+	st.nextID++
+	st.live[ls.id] = ls
+	return true
+}
+
+func (st *sessionStore) remove(id int) {
+	st.mu.Lock()
+	delete(st.live, id)
+	st.mu.Unlock()
+}
+
 func (s *Server) registerSessionRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /api/sessions", s.handleCreateSession)
 	mux.HandleFunc("GET /api/sessions", s.handleListSessions)
@@ -60,6 +99,7 @@ func (s *Server) registerSessionRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("GET /api/sessions/{id}/events", s.handleSessionEvents)
 }
 
+// status reads the session's live view; the caller holds ls.mu.
 func (ls *liveSession) status() SessionStatus {
 	return SessionStatus{
 		ID:          ls.id,
@@ -72,65 +112,77 @@ func (ls *liveSession) status() SessionStatus {
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if !decodeBody(w, r, &req) {
+	p, _, ok := s.prepareRun(w, r)
+	if !ok {
 		return
 	}
-	sc, err := s.buildScenario(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	// Register before building, with mu held: the slot is reserved
+	// against the cap, and calls on the new ID wait for the world.
+	ls := &liveSession{name: p.sc.Name, vms: len(p.sc.VMs)}
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	if !s.sessions.add(ls) {
+		writeError(w, http.StatusTooManyRequests, "%d sessions live; finalize one first", sessionMax)
 		return
 	}
-	session, err := sc.Start()
+	session, err := s.startSession(p)
 	if err != nil {
+		s.sessions.remove(ls.id)
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	s.sessions.mu.Lock()
-	ls := &liveSession{id: s.sessions.nextID, name: sc.Name, session: session}
-	s.sessions.nextID++
-	s.sessions.live[ls.id] = ls
-	s.sessions.mu.Unlock()
+	ls.session = session
 	writeJSON(w, http.StatusCreated, ls.status())
 }
 
-func (s *Server) lookupSession(r *http.Request) (*liveSession, bool) {
-	id, err := atoiPath(r)
-	if err != nil {
-		return nil, false
-	}
+// lockSession returns the path's live session with its mu held, or
+// answers 404 when there is none (a malformed ID parses as 0, which
+// no session has).
+func (s *Server) lockSession(w http.ResponseWriter, r *http.Request) (*liveSession, bool) {
+	id, _ := strconv.Atoi(r.PathValue("id"))
 	s.sessions.mu.Lock()
-	defer s.sessions.mu.Unlock()
-	ls, ok := s.sessions.live[id]
-	return ls, ok
+	ls := s.sessions.live[id]
+	s.sessions.mu.Unlock()
+	if ls != nil {
+		ls.mu.Lock()
+		if ls.session != nil {
+			return ls, true
+		}
+		ls.mu.Unlock()
+	}
+	writeError(w, http.StatusNotFound, "session not found")
+	return nil, false
 }
 
 func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 	s.sessions.mu.Lock()
-	out := make([]SessionStatus, 0, len(s.sessions.live))
+	all := make([]*liveSession, 0, len(s.sessions.live))
 	for _, ls := range s.sessions.live {
-		out = append(out, ls.status())
+		all = append(all, ls)
 	}
 	s.sessions.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
+	out := make([]SessionStatus, 0, len(all))
+	for _, ls := range all {
+		ls.mu.Lock()
+		if ls.session != nil {
+			out = append(out, ls.status())
+		}
+		ls.mu.Unlock()
+	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	ls, ok := s.lookupSession(r)
+	ls, ok := s.lockSession(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "session not found")
 		return
 	}
+	defer ls.mu.Unlock()
 	writeJSON(w, http.StatusOK, ls.status())
 }
 
 func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
-	ls, ok := s.lookupSession(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "session not found")
-		return
-	}
 	var req struct {
 		ToHours float64 `json:"toHours"`
 		ByHours float64 `json:"byHours"`
@@ -138,6 +190,11 @@ func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	ls, ok := s.lockSession(w, r)
+	if !ok {
+		return
+	}
+	defer ls.mu.Unlock()
 	var err error
 	switch {
 	case req.ToHours > 0:
@@ -166,11 +223,6 @@ func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionMaintenance(w http.ResponseWriter, r *http.Request) {
-	ls, ok := s.lookupSession(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "session not found")
-		return
-	}
 	var req struct {
 		Host int  `json:"host"`
 		Exit bool `json:"exit"`
@@ -178,6 +230,11 @@ func (s *Server) handleSessionMaintenance(w http.ResponseWriter, r *http.Request
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	ls, ok := s.lockSession(w, r)
+	if !ok {
+		return
+	}
+	defer ls.mu.Unlock()
 	var err error
 	if req.Exit {
 		err = ls.session.ExitMaintenance(req.Host)
@@ -195,11 +252,6 @@ func (s *Server) handleSessionMaintenance(w http.ResponseWriter, r *http.Request
 }
 
 func (s *Server) handleSessionAddVM(w http.ResponseWriter, r *http.Request) {
-	ls, ok := s.lookupSession(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "session not found")
-		return
-	}
 	var req struct {
 		Name        string  `json:"name"`
 		VCPUs       float64 `json:"vcpus"`
@@ -218,6 +270,11 @@ func (s *Server) handleSessionAddVM(w http.ResponseWriter, r *http.Request) {
 	if req.DemandCores <= 0 {
 		req.DemandCores = 1
 	}
+	ls, ok := s.lockSession(w, r)
+	if !ok {
+		return
+	}
+	defer ls.mu.Unlock()
 	id, err := ls.session.AddVM(agilepower.VMSpec{
 		Name:     req.Name,
 		VCPUs:    req.VCPUs,
@@ -231,46 +288,31 @@ func (s *Server) handleSessionAddVM(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]int{"vmId": id})
 }
 
+// handleSessionFinalize ends the session, frees its slot, and answers
+// its canonical RunResult.
 func (s *Server) handleSessionFinalize(w http.ResponseWriter, r *http.Request) {
-	ls, ok := s.lookupSession(r)
+	ls, ok := s.lockSession(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "session not found")
 		return
 	}
-	s.sessions.mu.Lock()
-	delete(s.sessions.live, ls.id)
-	s.sessions.mu.Unlock()
-
+	defer ls.mu.Unlock()
 	res := ls.session.Result()
-	resp := RunResponse{
-		Name:              ls.name,
-		Policy:            res.Policy,
-		Hosts:             res.Hosts,
-		HorizonH:          res.Horizon.Hours(),
-		EnergyKWh:         res.EnergyKWh(),
-		MeanPowerW:        res.MeanPowerW,
-		Satisfaction:      res.Satisfaction,
-		ViolationFraction: res.ViolationFraction,
-		Migrations:        res.Migrations.Completed,
-		Sleeps:            res.Sleeps,
-		Wakes:             res.Wakes,
+	ls.session = nil
+	s.sessions.remove(ls.id)
+	body, err := json.Marshal(summarize(ls.name, ls.vms, res))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
-	// The finalized session is archived as a regular run so its series
-	// and events stay fetchable.
-	s.mu.Lock()
-	resp.ID = s.nextID
-	s.nextID++
-	s.runs[resp.ID] = &storedRun{resp: resp, result: res}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	writeRaw(w, http.StatusOK, body)
 }
 
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
-	ls, ok := s.lookupSession(r)
+	ls, ok := s.lockSession(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "session not found")
 		return
 	}
+	defer ls.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if err := ls.session.Events().Write(w); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)

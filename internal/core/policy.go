@@ -216,6 +216,14 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// Check validates the configuration as NewManager runs it: zero
+// fields take their defaults first, so Check accepts exactly the
+// configs NewManager accepts.
+func (c Config) Check() error {
+	c.applyDefaults()
+	return c.Validate()
+}
+
 // Validate checks the configuration.
 func (c *Config) Validate() error {
 	if err := c.Policy.Validate(); err != nil {

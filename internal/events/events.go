@@ -109,16 +109,15 @@ func fmtAt(d time.Duration) string {
 // Log is an append-only bounded event recorder. When the cap is
 // reached, the oldest half is dropped (keeping a simulation from
 // accumulating unbounded history); Dropped reports how many were lost.
+//
+// No retained event is ever overwritten in place: appends only write
+// past the end of the slice, and dropping moves the kept half to a
+// fresh array. That is what lets clones share a backing array with
+// their source without either side tracking the sharing.
 type Log struct {
 	cap     int
 	events  []Event
 	dropped int
-	// shared marks a copy-on-write clone: events aliases another log's
-	// backing array and must be detached (copied) before the first
-	// append. Cloning a pristine world's construction log is pure
-	// bookkeeping this way — forks that never record an event (or are
-	// thrown away) never pay for the copy.
-	shared bool
 }
 
 // NewLog returns a log bounded at capacity (≤0 selects 100,000).
@@ -131,13 +130,12 @@ func NewLog(capacity int) *Log {
 
 // Append records an event.
 func (l *Log) Append(e Event) {
-	if l.shared {
-		l.detach()
-	}
 	if len(l.events) >= l.cap {
 		drop := l.cap / 2
 		l.dropped += drop
-		l.events = append(l.events[:0], l.events[drop:]...)
+		kept := make([]Event, len(l.events)-drop, l.cap)
+		copy(kept, l.events[drop:])
+		l.events = kept
 	}
 	l.events = append(l.events, e)
 }
@@ -146,25 +144,12 @@ func (l *Log) Append(e Event) {
 // retained events, same drop count. Appends to either side never
 // affect the other — the snapshot/fork layer uses this to give each
 // forked run its own audit trail seeded with the prototype's
-// construction events. The copy is lazy: clone and source share the
-// backing array until one of them appends (both sides detach before
-// their first write, so the shared prefix is never mutated).
+// construction events. The copy is lazy and reads its source only, so
+// any number of goroutines may clone one log at once: the clone's
+// slice is capped at its length, so its first append reallocates, and
+// the source never rewrites the shared prefix (see Log).
 func (l *Log) Clone() *Log {
-	out := &Log{cap: l.cap, dropped: l.dropped}
-	if len(l.events) > 0 {
-		out.events = l.events[:len(l.events):len(l.events)]
-		out.shared = true
-		l.shared = true
-	}
-	return out
-}
-
-// detach gives a copy-on-write log its own backing array.
-func (l *Log) detach() {
-	owned := make([]Event, len(l.events))
-	copy(owned, l.events)
-	l.events = owned
-	l.shared = false
+	return &Log{cap: l.cap, events: l.events[:len(l.events):len(l.events)], dropped: l.dropped}
 }
 
 // Len returns the number of retained events.

@@ -3,6 +3,7 @@ package events
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -113,5 +114,56 @@ func TestNewLogDefaultCap(t *testing.T) {
 	l := NewLog(0)
 	if l.cap != 100_000 {
 		t.Fatalf("default cap = %d", l.cap)
+	}
+}
+
+// TestConcurrentClonesAreIndependent clones one log from several
+// goroutines at once (run it under -race) and checks that every clone,
+// and the source, keeps its own history through appends and drops.
+func TestConcurrentClonesAreIndependent(t *testing.T) {
+	src := NewLog(8)
+	for i := 0; i < 6; i++ {
+		src.Append(Event{Kind: VMPlaced, VM: i + 1})
+	}
+	const clones = 8
+	var wg sync.WaitGroup
+	got := make([]*Log, clones)
+	for c := 0; c < clones; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			l := src.Clone()
+			// Enough appends to cross the cap and drop the shared prefix.
+			for i := 0; i < 10; i++ {
+				l.Append(Event{Kind: HostSleeping, Host: 100*c + i + 1})
+			}
+			got[c] = l
+		}(c)
+	}
+	wg.Wait()
+	// An untouched clone must survive the source dropping its prefix.
+	idle := src.Clone()
+	for i := 0; i < 10; i++ {
+		src.Append(Event{Kind: HostWaking, Host: i + 1})
+	}
+	for i, e := range idle.All() {
+		if e.Kind != VMPlaced || e.VM != i+1 {
+			t.Fatalf("idle clone event %d = %v, want vm-placed vm=%d", i, e, i+1)
+		}
+	}
+	for c, l := range got {
+		all := l.All()
+		if l.Dropped() != 8 || len(all) != 8 {
+			t.Fatalf("clone %d: len %d dropped %d, want 8 and 8", c, len(all), l.Dropped())
+		}
+		for i, e := range all {
+			if want := 100*c + i + 3; e.Kind != HostSleeping || e.Host != want {
+				t.Fatalf("clone %d event %d = %v, want host-sleeping host=%d", c, i, e, want)
+			}
+		}
+	}
+	all := src.All()
+	if src.Dropped() != 8 || len(all) != 8 || all[0].Kind != HostWaking || all[0].Host != 3 {
+		t.Fatalf("source after clones: dropped %d, events %v", src.Dropped(), all)
 	}
 }

@@ -74,6 +74,7 @@ func TestParseScenarioErrors(t *testing.T) {
 		{"replicated missing params", `{"hosts":4,"fleets":[{"kind":"replicated"}]}`},
 		{"no hosts", `{"fleets":[{"kind":"flat","count":2}]}`},
 		{"bad churn", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"churn":{"arrivalsPerHour":-1}}`},
+		{"bad target util", `{"hosts":4,"fleets":[{"kind":"flat","count":2}],"manager":{"targetUtil":1.5}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
