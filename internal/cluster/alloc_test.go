@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"agilepower/internal/host"
+	"agilepower/internal/migrate"
 	"agilepower/internal/sim"
 	"agilepower/internal/vm"
 	"agilepower/internal/workload"
@@ -85,5 +87,45 @@ func TestEvaluateAllocFreeWithMigrationOverhead(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("evaluate with migration overhead allocates %.2f times per tick, want 0", avg)
+	}
+}
+
+// TestStartMigrationSlotRejectionAllocFree pins the cheap refusal: a
+// drain re-attempts every planned move on each migration completion,
+// so a move refused for want of migration slots must cost no heap
+// allocation and must surface as the migrate.ErrHostSaturated
+// sentinel.
+func TestStartMigrationSlotRejectionAllocFree(t *testing.T) {
+	eng := sim.NewEngine(1)
+	c, err := New(eng, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < 3; h++ {
+		if _, err := c.AddHost(host.Config{Cores: 16, MemoryGB: 256}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := 0; v < 6; v++ {
+		if _, err := c.AddVM(vm.Config{VCPUs: 2, MemoryGB: 4, Trace: workload.Constant(1)}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Fill host 1's four default slots, then every further move off it
+	// is refused at the slot check.
+	for v := vm.ID(1); v <= 4; v++ {
+		if err := c.StartMigration(v, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = c.StartMigration(5, 3)
+	if !errors.Is(err, migrate.ErrHostSaturated) {
+		t.Fatalf("slot-rejected StartMigration = %v, want migrate.ErrHostSaturated", err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = c.StartMigration(5, 3) }); avg != 0 {
+		t.Fatalf("slot-rejected StartMigration allocates %.2f times per call, want 0", avg)
+	}
+	if c.Migrating(5) {
+		t.Fatal("a refused move is in flight")
 	}
 }

@@ -1347,7 +1347,9 @@ func (c *Cluster) StartMigration(id vm.ID, dst host.ID) error {
 		return fmt.Errorf("cluster: vm %d already migrating", id)
 	}
 	if !c.migrations.CanStart(int(src), int(dst)) {
-		return fmt.Errorf("cluster: migration slots exhausted for %d→%d", src, dst)
+		// The expected rejection of a drain that plans ahead of its
+		// slots: a sentinel, so refusing costs no formatting.
+		return migrate.ErrHostSaturated
 	}
 	if c.GroupConflict(dst, v.Group(), id) {
 		return fmt.Errorf("cluster: anti-affinity group %q conflict on host %d", v.Group(), dst)

@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"math"
 
+	"agilepower/internal/host"
 	"agilepower/internal/sim"
 	"agilepower/internal/vm"
 )
@@ -79,6 +80,8 @@ func (m *Manager) growVMSlots() {
 	m.fcv = append(m.fcv, make([]float64, n-len(m.fcv))...)
 	m.fcSeenB = append(m.fcSeenB, make([]bool, n-len(m.fcSeenB))...)
 	m.lastObs = append(m.lastObs, make([]sim.Time, n-len(m.lastObs))...)
+	m.migTo = append(m.migTo, make([]host.ID, n-len(m.migTo))...)
+	m.drainTo = append(m.drainTo, make([]host.ID, n-len(m.drainTo))...)
 }
 
 // growHostSlots extends the dense per-host state (indexed host.ID-1).
@@ -92,6 +95,11 @@ func (m *Manager) growHostSlots() {
 	m.loads = append(m.loads, make([]float64, n-len(m.loads))...)
 	m.inbound = append(m.inbound, make([]float64, n-len(m.inbound))...)
 	m.sortLoads = append(m.sortLoads, make([]float64, n-len(m.sortLoads))...)
+	m.binOf = append(m.binOf, make([]int, n-len(m.binOf))...)
+	m.evacMark = append(m.evacMark, make([]bool, n-len(m.evacMark))...)
+	m.inCPU = append(m.inCPU, make([]float64, n-len(m.inCPU))...)
+	m.inMem = append(m.inMem, make([]float64, n-len(m.inMem))...)
+	m.inGroups = append(m.inGroups, make([][]string, n-len(m.inGroups))...)
 }
 
 // newForecaster builds one forecaster from the validated spec.

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"agilepower/internal/cluster"
 	"agilepower/internal/ctrlplane"
 	"agilepower/internal/host"
+	"agilepower/internal/migrate"
 	"agilepower/internal/power"
 	"agilepower/internal/sim"
 	"agilepower/internal/telemetry"
@@ -110,10 +112,29 @@ type Manager struct {
 	lastObs []sim.Time   // lazy mode: when each VM was last observed
 	loads   []float64    // hostForecastLoads result, by host.ID-1
 	inbound []float64    // inboundMemory result, by host.ID-1
-	migTo   map[vm.ID]host.ID
-	cen     census  // takeCensus backing arrays
-	lbVMs   []vm.ID // balanceLoad sort scratch
-	items   []Item  // buildItems scratch
+	cen     census       // takeCensus backing arrays
+	lbVMs   []vm.ID      // balanceLoad sort scratch
+	items   []Item       // buildItems scratch
+	pk      packer       // packServing and planDrain packing scratch
+
+	// Drain-replanning scratch. A drain is re-planned on every migration
+	// completion, so these dense stand-ins replace the maps each plan
+	// used to build; every one is all-zero between uses (whoever marks
+	// an entry clears it again). By vm.ID-1: migTo is an in-flight
+	// VM's destination (markInflight), drainTo an evacuee's planned
+	// destination (planDrain). By host.ID-1: binOf is 1+the index of
+	// the host's drain bin, evacMark flags evacuating hosts, and
+	// inCPU/inMem/inGroups are buildBins' inbound-migration charges.
+	migTo      []host.ID
+	drainTo    []host.ID
+	binOf      []int
+	evacMark   []bool
+	inCPU      []float64
+	inMem      []float64
+	inGroups   [][]string
+	bins       []Bin     // buildBins result
+	drainItems []Item    // planDrain's evacuee items
+	parkIDs    []host.ID // drainEvacuating's ascending park candidates
 
 	// Incremental planning state (see incremental.go). inc gates every
 	// cache; lazyFC additionally gates the due-heap forecast
@@ -149,6 +170,9 @@ type Manager struct {
 	planK     int
 	planOK    bool
 	sortLoads []float64 // packServing per-host load scratch
+	order     []vm.ID   // vmPackOrder cache
+	orderF    uint64
+	orderOK   bool
 
 	// Power-feed cap (scenario power-cap events): capWatts is the feed
 	// limit, capBudget the derived active-host budget. Zero means
@@ -182,7 +206,6 @@ func NewManager(cl *cluster.Cluster, cfg Config) (*Manager, error) {
 		migFails:    make(map[vm.ID]int),
 		migRetryAt:  make(map[vm.ID]sim.Time),
 		counters:    telemetry.NewCounters(),
-		migTo:       make(map[vm.ID]host.ID),
 	}
 	if cfg.PredictiveWake {
 		m.diurnal = newDiurnalModel(0.4)
@@ -937,7 +960,7 @@ func (m *Manager) packServing(forecasts []float64, c census) ([]*host.Host, int,
 		return hosts[i].ID() < hosts[j].ID()
 	})
 	bins := m.buildBins(hosts)
-	k, _, ok := MinBins(items, bins, m.cfg.Packing)
+	k, ok := m.pk.minBins(items, bins, m.cfg.Packing)
 	m.planHosts = hosts
 	m.planK = k
 	m.planOK = ok
@@ -978,32 +1001,41 @@ func (m *Manager) buildItems(forecasts []float64) []Item {
 }
 
 // buildBins converts hosts into packing bins, charging in-flight
-// inbound migrations against the destination's capacity.
+// inbound migrations against the destination's capacity. The bins are
+// manager scratch, valid until the next call.
 func (m *Manager) buildBins(hosts []*host.Host) []Bin {
-	inboundCPU := make(map[host.ID]float64)
-	inboundMem := make(map[host.ID]float64)
-	inboundGroups := make(map[host.ID][]string)
-	for _, mig := range m.cl.Migrations().Inflights() {
+	m.growHostSlots()
+	infl := m.cl.Migrations().Inflights()
+	for _, mig := range infl {
 		if v, ok := m.cl.VM(mig.VM); ok {
-			dst := host.ID(mig.Dst)
-			inboundCPU[dst] += m.cl.VMDemand(v, m.cl.Engine().Now())
-			inboundMem[dst] += v.MemoryGB()
+			dst := mig.Dst - 1
+			m.inCPU[dst] += m.cl.VMDemand(v, m.cl.Engine().Now())
+			m.inMem[dst] += v.MemoryGB()
 			if g := v.Group(); g != "" {
-				inboundGroups[dst] = append(inboundGroups[dst], g)
+				m.inGroups[dst] = append(m.inGroups[dst], g)
 			}
 		}
 	}
-	bins := make([]Bin, len(hosts))
+	// Each bin slot keeps its Groups array from the last call, so the
+	// residents' groups planDrain appends reuse it too.
+	m.bins = slices.Grow(m.bins[:0], len(hosts))[:len(hosts)]
+	bins := m.bins
 	for i, h := range hosts {
-		cpu := h.Cores()*m.cfg.TargetUtil - inboundCPU[h.ID()]
-		mem := h.MemoryGB() - inboundMem[h.ID()]
+		j := h.ID() - 1
+		cpu := h.Cores()*m.cfg.TargetUtil - m.inCPU[j]
+		mem := h.MemoryGB() - m.inMem[j]
 		if cpu < 0 {
 			cpu = 0
 		}
 		if mem < 0 {
 			mem = 0
 		}
-		bins[i] = Bin{Key: int(h.ID()), CPUCap: cpu, MemCap: mem, Groups: inboundGroups[h.ID()]}
+		bins[i] = Bin{Key: int(h.ID()), CPUCap: cpu, MemCap: mem,
+			Groups: append(bins[i].Groups[:0], m.inGroups[j]...)}
+	}
+	for _, mig := range infl {
+		dst := mig.Dst - 1
+		m.inCPU[dst], m.inMem[dst], m.inGroups[dst] = 0, 0, m.inGroups[dst][:0]
 	}
 	return bins
 }
@@ -1013,12 +1045,19 @@ func (m *Manager) buildBins(hosts []*host.Host) []Bin {
 // evacuees into the residual capacity of the serving hosts, so drains
 // succeed even when serving hosts sit near the packing target; if the
 // evacuees genuinely do not fit, an evacuating host is reclaimed.
+//
+// Every migration completion re-runs it (continueMoves), re-planning
+// the whole drain and re-attempting every planned move that has not
+// started. That exact replan is kept, rather than dispensing one plan
+// as slots free up, because which moves start — and how many are
+// refused — is part of the result; what is kept cheap is its cost
+// (see planDrain).
 func (m *Manager) drainEvacuating(forecasts []float64) {
 	if len(m.evacuating) == 0 {
 		return
 	}
 	c := m.takeCensus()
-	assign, ok := m.planDrain(forecasts, c)
+	items, ok := m.planDrain(forecasts, c)
 	if !ok {
 		// Not enough room: reclaim the evacuating host with the most
 		// VMs (cheapest to bring back to service) and retry next step.
@@ -1038,6 +1077,7 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 		}
 		return
 	}
+	migrations := m.cl.Migrations()
 	migrated := 0
 	for _, src := range c.evacuating {
 		for _, vid := range src.VMs() {
@@ -1047,11 +1087,17 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 			if m.cfg.MaxMigrationsPerStep > 0 && migrated >= m.cfg.MaxMigrationsPerStep {
 				break
 			}
-			dstKey, planned := assign[int(vid)]
-			if !planned {
+			dst := m.drainTo[vid-1]
+			if dst == 0 {
 				continue
 			}
-			if err := m.startMigration(vid, host.ID(dstKey)); err != nil {
+			if m.inc && m.cp == nil && !migrations.CanStart(int(src.ID()), int(dst)) {
+				// The cluster would refuse the move for want of slots:
+				// count the refusal without making it.
+				m.stats.MigrationsFailed++
+				continue
+			}
+			if err := m.startMigration(vid, dst); err != nil {
 				m.stats.MigrationsFailed++
 				continue
 			}
@@ -1059,12 +1105,16 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 			migrated++
 		}
 	}
+	for _, it := range items {
+		m.drainTo[it.Key-1] = 0
+	}
 	// Park fully drained hosts.
-	ids := make([]host.ID, 0, len(m.evacuating))
+	ids := m.parkIDs[:0]
 	for id := range m.evacuating {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	m.parkIDs = ids
 	for _, id := range ids {
 		if m.maintenance[id] {
 			// Drained maintenance hosts stay on and held, not parked.
@@ -1074,7 +1124,7 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 		if !ok || !h.Available() || !h.Empty() {
 			continue
 		}
-		if m.cl.Migrations().HostLoad(int(id)) > 0 {
+		if migrations.HostLoad(int(id)) > 0 {
 			continue
 		}
 		if m.parkHeld(id) {
@@ -1099,51 +1149,135 @@ func (m *Manager) drainEvacuating(forecasts []float64) {
 // planDrain packs the VMs sitting on evacuating hosts into the
 // residual capacity of the serving hosts. Serving hosts' own VMs are
 // pre-charged against their bins (they stay put); only evacuees are
-// packing items.
-func (m *Manager) planDrain(forecasts []float64, c census) (Assignment, bool) {
+// packing items. On success m.drainTo holds each returned item's
+// destination, for the caller to read and clear.
+//
+// The incremental planner takes the evacuees from vmPackOrder, already
+// in the packer's processing order, instead of sorting them on every
+// call; the full-scan oracle collects them in VM-list order and sorts.
+func (m *Manager) planDrain(forecasts []float64, c census) ([]Item, bool) {
 	bins := m.buildBins(m.trustedServing(c))
-	binIdx := make(map[int]int, len(bins))
 	for i, b := range bins {
-		binIdx[b.Key] = i
+		m.binOf[b.Key-1] = i + 1
 	}
-	evacIDs := make(map[host.ID]bool, len(c.evacuating))
 	for _, h := range c.evacuating {
-		evacIDs[h.ID()] = true
+		m.evacMark[h.ID()-1] = true
 	}
-	var items []Item
+	infl := m.markInflight()
+	items := m.drainItems[:0]
+	// Charge residents in VM-list order: each bin's subtraction order
+	// and zero clamps are part of the plan.
 	for _, v := range m.cl.VMs() {
-		if m.cl.Migrating(v.ID()) {
+		if m.migTo[v.ID()-1] != 0 {
 			continue
 		}
 		hid, ok := m.cl.Placement(v.ID())
 		if !ok {
 			continue
 		}
-		if evacIDs[hid] {
-			items = append(items, Item{
-				Key:     int(v.ID()),
-				CPU:     forecasts[v.ID()-1],
-				MemGB:   v.MemoryGB(),
-				Current: -1, // must move
-				Group:   v.Group(),
-			})
+		if m.evacMark[hid-1] {
+			if !m.inc {
+				items = append(items, evacueeItem(v, forecasts))
+			}
 			continue
 		}
-		if i, ok := binIdx[int(hid)]; ok {
-			bins[i].CPUCap -= forecasts[v.ID()-1]
-			bins[i].MemCap -= v.MemoryGB()
-			if bins[i].CPUCap < 0 {
-				bins[i].CPUCap = 0
+		if i := m.binOf[hid-1]; i > 0 {
+			b := &bins[i-1]
+			b.CPUCap -= forecasts[v.ID()-1]
+			b.MemCap -= v.MemoryGB()
+			if b.CPUCap < 0 {
+				b.CPUCap = 0
 			}
-			if bins[i].MemCap < 0 {
-				bins[i].MemCap = 0
+			if b.MemCap < 0 {
+				b.MemCap = 0
 			}
 			if g := v.Group(); g != "" {
-				bins[i].Groups = append(bins[i].Groups, g)
+				b.Groups = append(b.Groups, g)
 			}
 		}
 	}
-	return Pack(items, bins, m.cfg.Packing)
+	if m.inc {
+		for _, vid := range m.vmPackOrder(forecasts) {
+			if m.migTo[vid-1] != 0 {
+				continue
+			}
+			if hid, ok := m.cl.Placement(vid); ok && m.evacMark[hid-1] {
+				v, _ := m.cl.VM(vid)
+				items = append(items, evacueeItem(v, forecasts))
+			}
+		}
+	}
+	m.drainItems = items
+	if !m.inc {
+		items = m.pk.sortItems(items)
+	}
+	ok := m.pk.packSorted(items, bins, m.cfg.Packing)
+	for _, b := range bins {
+		m.binOf[b.Key-1] = 0
+	}
+	for _, h := range c.evacuating {
+		m.evacMark[h.ID()-1] = false
+	}
+	m.unmarkInflight(infl)
+	if !ok {
+		return nil, false
+	}
+	for i, it := range items {
+		m.drainTo[it.Key-1] = host.ID(m.pk.to[i])
+	}
+	return items, true
+}
+
+// evacueeItem is the packing item of a VM that must leave its host.
+func evacueeItem(v *vm.VM, forecasts []float64) Item {
+	return Item{
+		Key:     int(v.ID()),
+		CPU:     forecasts[v.ID()-1],
+		MemGB:   v.MemoryGB(),
+		Current: -1, // must move
+		Group:   v.Group(),
+	}
+}
+
+// vmPackOrder returns every live VM's ID in packOrder: forecast
+// descending, ID ascending. The order is pure in the VM set and the
+// forecast values, so it is sorted once per forecast generation — an
+// unchanged fcEpoch means the same VMs with the same forecasts — the
+// way packServing caches its plan.
+func (m *Manager) vmPackOrder(forecasts []float64) []vm.ID {
+	if m.orderOK && m.orderF == m.fcEpoch {
+		return m.order
+	}
+	order := m.order[:0]
+	for _, v := range m.cl.VMs() {
+		order = append(order, v.ID())
+	}
+	slices.SortFunc(order, func(a, b vm.ID) int {
+		return packOrder(Item{Key: int(a), CPU: forecasts[a-1]}, Item{Key: int(b), CPU: forecasts[b-1]})
+	})
+	m.order = order
+	m.orderF = m.fcEpoch
+	m.orderOK = true
+	return order
+}
+
+// markInflight records each in-flight migration's destination in
+// migTo and returns the in-flight list; unmarkInflight takes the same
+// list back and restores migTo to all-zero. Nothing may start or end a
+// migration in between.
+func (m *Manager) markInflight() []*migrate.Migration {
+	m.growVMSlots()
+	infl := m.cl.Migrations().Inflights()
+	for _, mig := range infl {
+		m.migTo[mig.VM-1] = host.ID(mig.Dst)
+	}
+	return infl
+}
+
+func (m *Manager) unmarkInflight(infl []*migrate.Migration) {
+	for _, mig := range infl {
+		m.migTo[mig.VM-1] = 0
+	}
 }
 
 // pickLBDestination picks the load-balancing target for one VM: the
@@ -1241,16 +1375,13 @@ func (m *Manager) hostForecastLoads(forecasts []float64) []float64 {
 		return m.loads
 	}
 	m.growHostSlots()
-	loads, migratingTo := m.loads, m.migTo
+	loads := m.loads
 	for i := range loads {
 		loads[i] = 0
 	}
-	clear(migratingTo)
-	for _, mig := range m.cl.Migrations().Inflights() {
-		migratingTo[mig.VM] = host.ID(mig.Dst)
-	}
+	infl := m.markInflight()
 	for _, v := range m.cl.VMs() {
-		if dst, ok := migratingTo[v.ID()]; ok {
+		if dst := m.migTo[v.ID()-1]; dst != 0 {
 			loads[dst-1] += forecasts[v.ID()-1]
 			continue
 		}
@@ -1258,6 +1389,7 @@ func (m *Manager) hostForecastLoads(forecasts []float64) []float64 {
 			loads[hid-1] += forecasts[v.ID()-1]
 		}
 	}
+	m.unmarkInflight(infl)
 	m.loadsE = m.epoch
 	m.loadsF = m.fcEpoch
 	m.loadsOK = true

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -88,11 +90,151 @@ func (b *binState) add(it Item) {
 	b.cpuUsed += it.CPU
 	b.memUsed += it.MemGB
 	if it.Group != "" {
-		if b.groups == nil {
-			b.groups = make(map[string]bool)
-		}
-		b.groups[it.Group] = true
+		b.addGroup(it.Group)
 	}
+}
+
+func (b *binState) addGroup(g string) {
+	if b.groups == nil {
+		b.groups = make(map[string]bool)
+	}
+	b.groups[g] = true
+}
+
+// packOrder is the packer's deterministic processing order: decreasing
+// CPU, ties by key. Item keys are unique, so it is a strict total order
+// and every sort of the same items lands in the same sequence.
+func packOrder(a, b Item) int {
+	switch {
+	case a.CPU > b.CPU:
+		return -1
+	case a.CPU < b.CPU:
+		return 1
+	}
+	return cmp.Compare(a.Key, b.Key)
+}
+
+// packer holds the packing heuristics' working state. A long-lived
+// packer reuses it across calls, which keeps the manager's repeated
+// drain and consolidation packs off the heap; the zero value is ready.
+type packer struct {
+	order  []Item      // sorted copy of the items (sortItems)
+	states []binState  // one per bin of the current pack
+	byKey  map[int]int // bin key -> index into states
+	movers []int       // indices into the order that must move
+	to     []int       // to[i]: bin key order[i] was assigned
+}
+
+// sortItems copies items into packing order.
+func (p *packer) sortItems(items []Item) []Item {
+	p.order = append(p.order[:0], items...)
+	slices.SortFunc(p.order, packOrder)
+	return p.order
+}
+
+// packSorted is Pack over items already in packOrder. On success p.to
+// holds each item's bin key, aligned with order.
+func (p *packer) packSorted(order []Item, bins []Bin, kind PackKind) bool {
+	if p.byKey == nil {
+		p.byKey = make(map[int]int, len(bins))
+	}
+	clear(p.byKey)
+	p.states = slices.Grow(p.states[:0], len(bins))[:len(bins)]
+	states := p.states
+	for i, b := range bins {
+		st := &states[i]
+		*st = binState{bin: b, groups: st.groups} // keep the map, not its contents
+		clear(st.groups)
+		for _, g := range b.Groups {
+			st.addGroup(g)
+		}
+		p.byKey[b.Key] = i
+	}
+	p.to = slices.Grow(p.to[:0], len(order))[:len(order)]
+	movers := p.movers[:0]
+	// Pass 1: sticky placement on the current bin.
+	for i, it := range order {
+		if j, ok := p.byKey[it.Current]; ok && states[j].fits(it) {
+			states[j].add(it)
+			p.to[i] = it.Current
+			continue
+		}
+		movers = append(movers, i)
+	}
+	p.movers = movers
+	// Pass 2: pack the movers.
+	for _, i := range movers {
+		it := order[i]
+		chosen := -1
+		switch kind {
+		case PackBFD:
+			bestSlack := 0.0
+			for j := range states {
+				st := &states[j]
+				if !st.fits(it) {
+					continue
+				}
+				slack := st.bin.CPUCap - st.cpuUsed - it.CPU
+				if chosen < 0 || slack < bestSlack {
+					chosen = j
+					bestSlack = slack
+				}
+			}
+		default: // PackFFD
+			for j := range states {
+				if states[j].fits(it) {
+					chosen = j
+					break
+				}
+			}
+		}
+		if chosen < 0 {
+			return false
+		}
+		states[chosen].add(it)
+		p.to[i] = states[chosen].bin.Key
+	}
+	return true
+}
+
+// assignment turns the last successful pack of order into a map.
+func (p *packer) assignment(order []Item) Assignment {
+	assign := make(Assignment, len(order))
+	for i, it := range order {
+		assign[it.Key] = p.to[i]
+	}
+	return assign
+}
+
+// minBins is MinBins without the assignment map. The items are sorted
+// once, on the first prefix that passes the capacity bound; on success
+// p.order and p.to describe the packing into bins[:k].
+func (p *packer) minBins(items []Item, bins []Bin, kind PackKind) (k int, ok bool) {
+	if len(items) == 0 {
+		return 0, true
+	}
+	// Lower bound from aggregate capacity, to skip infeasible prefixes.
+	needCPU, needMem := 0.0, 0.0
+	for _, it := range items {
+		needCPU += it.CPU
+		needMem += it.MemGB
+	}
+	var order []Item
+	cumCPU, cumMem := 0.0, 0.0
+	for k = 1; k <= len(bins); k++ {
+		cumCPU += bins[k-1].CPUCap
+		cumMem += bins[k-1].MemCap
+		if cumCPU+1e-9 < needCPU || cumMem+1e-9 < needMem {
+			continue
+		}
+		if order == nil {
+			order = p.sortItems(items)
+		}
+		if p.packSorted(order, bins[:k], kind) {
+			return k, true
+		}
+	}
+	return len(bins), false
 }
 
 // Pack assigns every item to a bin, keeping items on their current bin
@@ -100,70 +242,12 @@ func (b *binState) add(it Item) {
 // reports ok=false if some item cannot be placed (the chosen bin set
 // is too small).
 func Pack(items []Item, bins []Bin, kind PackKind) (Assignment, bool) {
-	states := make([]*binState, len(bins))
-	byKey := make(map[int]*binState, len(bins))
-	for i, b := range bins {
-		st := &binState{bin: b}
-		for _, g := range b.Groups {
-			if st.groups == nil {
-				st.groups = make(map[string]bool)
-			}
-			st.groups[g] = true
-		}
-		states[i] = st
-		byKey[b.Key] = st
+	var p packer
+	order := p.sortItems(items)
+	if !p.packSorted(order, bins, kind) {
+		return nil, false
 	}
-	// Deterministic processing order: decreasing CPU, ties by key.
-	order := append([]Item(nil), items...)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].CPU != order[j].CPU {
-			return order[i].CPU > order[j].CPU
-		}
-		return order[i].Key < order[j].Key
-	})
-
-	assign := make(Assignment, len(items))
-	var movers []Item
-	// Pass 1: sticky placement on the current bin.
-	for _, it := range order {
-		if st, ok := byKey[it.Current]; ok && st.fits(it) {
-			st.add(it)
-			assign[it.Key] = it.Current
-			continue
-		}
-		movers = append(movers, it)
-	}
-	// Pass 2: pack the movers.
-	for _, it := range movers {
-		var chosen *binState
-		switch kind {
-		case PackBFD:
-			bestSlack := 0.0
-			for _, st := range states {
-				if !st.fits(it) {
-					continue
-				}
-				slack := st.bin.CPUCap - st.cpuUsed - it.CPU
-				if chosen == nil || slack < bestSlack {
-					chosen = st
-					bestSlack = slack
-				}
-			}
-		default: // PackFFD
-			for _, st := range states {
-				if st.fits(it) {
-					chosen = st
-					break
-				}
-			}
-		}
-		if chosen == nil {
-			return nil, false
-		}
-		chosen.add(it)
-		assign[it.Key] = chosen.bin.Key
-	}
-	return assign, true
+	return p.assignment(order), true
 }
 
 // Moves returns the item keys whose assignment differs from their
@@ -188,24 +272,11 @@ func MinBins(items []Item, bins []Bin, kind PackKind) (k int, assign Assignment,
 	if len(items) == 0 {
 		return 0, Assignment{}, true
 	}
-	// Lower bound from aggregate capacity, to skip infeasible prefixes.
-	needCPU, needMem := 0.0, 0.0
-	for _, it := range items {
-		needCPU += it.CPU
-		needMem += it.MemGB
+	var p packer
+	if k, ok = p.minBins(items, bins, kind); !ok {
+		return k, nil, false
 	}
-	cumCPU, cumMem := 0.0, 0.0
-	for k = 1; k <= len(bins); k++ {
-		cumCPU += bins[k-1].CPUCap
-		cumMem += bins[k-1].MemCap
-		if cumCPU+1e-9 < needCPU || cumMem+1e-9 < needMem {
-			continue
-		}
-		if a, ok := Pack(items, bins[:k], kind); ok {
-			return k, a, true
-		}
-	}
-	return len(bins), nil, false
+	return k, p.assignment(p.order), true
 }
 
 // Validate sanity-checks the planner inputs.

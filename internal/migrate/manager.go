@@ -1,9 +1,10 @@
 package migrate
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"agilepower/internal/sim"
@@ -85,8 +86,11 @@ type Manager struct {
 	perHostLimit int
 
 	inflight map[vm.ID]*Migration
-	perHost  map[int]int
-	stats    Stats
+	// ordered holds the same migrations as inflight, by ascending VM ID:
+	// the view Inflights hands out, kept sorted as moves start and end.
+	ordered []*Migration
+	perHost map[int]int
+	stats   Stats
 
 	// faults, when non-nil, is consulted on every admitted migration.
 	faults FaultInjector
@@ -142,14 +146,19 @@ func (m *Manager) Migrating(id vm.ID) bool {
 func (m *Manager) HostLoad(h int) int { return m.perHost[h] }
 
 // Inflights returns the in-flight migrations ordered by VM ID, for
-// deterministic planning by the management layer.
-func (m *Manager) Inflights() []*Migration {
-	out := make([]*Migration, 0, len(m.inflight))
-	for _, mig := range m.inflight {
-		out = append(out, mig)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].VM < out[j].VM })
-	return out
+// deterministic planning by the management layer. The slice is a
+// read-only view owned by the manager, valid until the next Start or
+// completion: callers must not modify it, and a caller that starts or
+// aborts migrations while iterating must iterate a copy.
+func (m *Manager) Inflights() []*Migration { return m.ordered }
+
+// orderedIndex returns where the migration of VM id sits (or would be
+// inserted) in the ID-ordered view.
+func (m *Manager) orderedIndex(id vm.ID) int {
+	i, _ := slices.BinarySearchFunc(m.ordered, id, func(mig *Migration, id vm.ID) int {
+		return cmp.Compare(mig.VM, id)
+	})
+	return i
 }
 
 // CanStart reports whether a src→dst migration would be admitted.
@@ -200,6 +209,7 @@ func (m *Manager) Start(id vm.ID, src, dst int, memGB float64) (*Migration, erro
 		Failed: failed,
 	}
 	m.inflight[id] = mig
+	m.ordered = slices.Insert(m.ordered, m.orderedIndex(id), mig)
 	m.perHost[src]++
 	m.perHost[dst]++
 	m.stats.Started++
@@ -212,7 +222,9 @@ func (m *Manager) Start(id vm.ID, src, dst int, memGB float64) (*Migration, erro
 // failure path immediately. It returns how many were aborted.
 func (m *Manager) FailHost(h int) int {
 	aborted := 0
-	for _, mig := range m.Inflights() {
+	// complete shrinks the ordered view (and failure callbacks may start
+	// new moves), so walk a snapshot.
+	for _, mig := range slices.Clone(m.ordered) {
 		if mig.Src != h && mig.Dst != h {
 			continue
 		}
@@ -227,6 +239,9 @@ func (m *Manager) FailHost(h int) int {
 
 func (m *Manager) complete(mig *Migration) {
 	delete(m.inflight, mig.VM)
+	if i := m.orderedIndex(mig.VM); i < len(m.ordered) && m.ordered[i] == mig {
+		m.ordered = slices.Delete(m.ordered, i, i+1)
+	}
 	m.perHost[mig.Src]--
 	m.perHost[mig.Dst]--
 	if m.perHost[mig.Src] == 0 {

@@ -2,6 +2,7 @@ package migrate
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -159,5 +160,77 @@ func TestMigrationTimesRecorded(t *testing.T) {
 	}
 	if mig.End != mig.Start+mig.Plan.Duration {
 		t.Fatalf("end %v != start+duration %v", mig.End, mig.Start+mig.Plan.Duration)
+	}
+}
+
+// TestInflightsMatchesSortedOracle checks the ID-ordered in-flight view
+// against a map oracle sorted on demand, across interleaved starts,
+// completions and host failures — including failure callbacks that
+// start new moves while FailHost is still walking the set.
+func TestInflightsMatchesSortedOracle(t *testing.T) {
+	eng, m := newTestManager(t, 3)
+	rng := sim.NewRNG(42)
+	oracle := make(map[vm.ID]*Migration)
+	var nextVM vm.ID
+	start := func() {
+		nextVM++
+		// Shuffle IDs so inserts land all over the ordered view.
+		id := vm.ID(rng.Intn(1000)+1)*1000 + nextVM
+		mig, err := m.Start(id, rng.Intn(6)+1, rng.Intn(6)+1, rng.Range(1, 16))
+		if err == nil {
+			oracle[id] = mig
+		}
+	}
+	done := func(mg *Migration) {
+		if oracle[mg.VM] != mg {
+			t.Fatalf("completion of vm %d that the oracle does not hold", mg.VM)
+		}
+		delete(oracle, mg.VM)
+	}
+	m.OnComplete(done)
+	m.OnFailed(func(mg *Migration) {
+		done(mg)
+		if rng.Bernoulli(0.5) {
+			start()
+		}
+	})
+	check := func(step int) {
+		t.Helper()
+		ids := make([]vm.ID, 0, len(oracle))
+		for id := range oracle {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		got := m.Inflights()
+		if len(got) != len(ids) || m.Inflight() != len(ids) {
+			t.Fatalf("step %d: Inflights has %d, Inflight %d, oracle %d", step, len(got), m.Inflight(), len(ids))
+		}
+		for i, id := range ids {
+			if got[i] != oracle[id] {
+				t.Fatalf("step %d: Inflights[%d] is vm %d, want vm %d", step, i, got[i].VM, id)
+			}
+		}
+	}
+	for step := 0; step < 2000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 6:
+			start()
+		case r < 9:
+			eng.RunUntil(eng.Now() + sim.Time(rng.Intn(3000))*sim.Time(time.Millisecond))
+		default:
+			h, touching := rng.Intn(6)+1, 0
+			for _, mg := range oracle {
+				if mg.Src == h || mg.Dst == h {
+					touching++
+				}
+			}
+			if n := m.FailHost(h); n != touching {
+				t.Fatalf("step %d: FailHost(%d) aborted %d, want %d", step, h, n, touching)
+			}
+		}
+		check(step)
+	}
+	if m.Stats().Aborted == 0 || m.Stats().Completed == 0 {
+		t.Fatalf("script never exercised both exits: %+v", m.Stats())
 	}
 }
